@@ -2,7 +2,7 @@
 // shaped honest traffic while a static flood runs.  Four panels share one
 // network and attack schedule and differ only in the workload section:
 // diurnal load, a flash crowd, a drifting hot set, and a binary trace file
-// replayed through the double-buffered reader.  The cumulative trace-id
+// replayed through trace_io's chunked TraceReader.  The cumulative trace-id
 // column exposes each shape (the diurnal wave, the flash spike); the
 // pollution columns differ across panels only through dilution — honest
 // volume shrinks the malicious share of the outputs while the underlying
@@ -101,8 +101,6 @@ FigureDef make_trace_replay_workload() {
         default:
           workload.kind = TraceReplayConfig::Kind::kTraceFile;
           workload.path = trace_path;
-          workload.io = TraceReplayConfig::IoMode::kBuffered;
-          workload.buffer_ids = 4096;
           break;
       }
       spec.workload = workload;

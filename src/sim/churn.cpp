@@ -71,15 +71,4 @@ ChurnReport run_churn_phase_with_report(SimDriver& driver,
   return drive(driver, config, /*track_connectivity=*/true);
 }
 
-std::size_t run_churn_phase(GossipNetwork& net, const ChurnConfig& config) {
-  SimDriver driver(net, TimingModel::rounds());
-  return drive(driver, config, /*track_connectivity=*/false).events;
-}
-
-ChurnReport run_churn_phase_with_report(GossipNetwork& net,
-                                        const ChurnConfig& config) {
-  SimDriver driver(net, TimingModel::rounds());
-  return drive(driver, config, /*track_connectivity=*/true);
-}
-
 }  // namespace unisamp

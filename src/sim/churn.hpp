@@ -13,8 +13,7 @@
 // precomputed up front and scheduled on the SimDriver as timestamped
 // join/leave events (EventKind::kChurn), which the queue orders before each
 // tick's adversary hook and sends.  This works identically in rounds mode
-// and event mode; the GossipNetwork overloads are compatibility shims that
-// run a degenerate rounds-mode driver internally.
+// and event mode.
 #pragma once
 
 #include <cstdint>
@@ -51,13 +50,6 @@ struct ChurnReport {
 /// continue with driver.run_ticks(...).
 std::size_t run_churn_phase(SimDriver& driver, const ChurnConfig& config);
 ChurnReport run_churn_phase_with_report(SimDriver& driver,
-                                        const ChurnConfig& config);
-
-/// COMPATIBILITY SHIMS: run the churn phase through an internal
-/// degenerate rounds-mode SimDriver — bit-identical to the historical
-/// toggle-then-run_round loop.
-std::size_t run_churn_phase(GossipNetwork& net, const ChurnConfig& config);
-ChurnReport run_churn_phase_with_report(GossipNetwork& net,
                                         const ChurnConfig& config);
 
 }  // namespace unisamp

@@ -6,8 +6,9 @@
 //
 //   TimingModel::rounds()  — the degenerate config: synchronized delivery,
 //     infinite bandwidth, unbounded inboxes.  Bit-identical to the
-//     historical GossipNetwork::run_round lockstep loop; every committed
-//     figure checksum replays unchanged through it.
+//     historical lockstep loop (kept as the test oracle in
+//     tests/support/lockstep_oracle.hpp); every committed figure checksum
+//     replays unchanged through it.
 //   TimingModel::event(latency, inbox_capacity, bandwidth) — per-link
 //     deterministic latencies put ids in flight as timestamped kMessage
 //     events, bounded inboxes tail-drop under burst, and tick flushes
@@ -78,8 +79,7 @@ struct TimingModel {
 ///  - Persistence: in event mode, in-flight messages survive across
 ///    run_ticks() calls — construct ONE driver for the whole experiment
 ///    and keep calling it.  In rounds mode the queue is empty between
-///    calls, so fresh drivers are equivalent (what the run_round shim
-///    relies on).
+///    calls, so fresh drivers are equivalent.
 ///  - Exception safety: a service throw during the tick flush propagates
 ///    after the network has dropped all pending ids (GossipNetwork
 ///    contract); the failed tick is not counted in ticks_run().
@@ -92,9 +92,6 @@ class SimDriver {
 
   /// Advances virtual time by `ticks` whole ticks (= protocol rounds).
   void run_ticks(std::size_t ticks);
-
-  /// Alias for run_ticks — one tick is one round.
-  void run_rounds(std::size_t rounds) { run_ticks(rounds); }
 
   /// Schedules a timestamped join/leave: node becomes (in)active at the
   /// START of tick `tick` (after that tick's flush-predecessors, before

@@ -19,10 +19,7 @@
 // class no longer drives itself.  It exposes a small engine contract —
 // emit_sends / accept_delivery / begin_tick / flush_tick — and the
 // SimDriver facade (sim/driver.hpp) sequences those through the
-// discrete-event queue.  `run_round`/`run_rounds` survive as thin
-// compatibility shims that run a SimDriver in the degenerate
-// TimingModel::rounds() config, bit-identical to the historical lockstep
-// loop.
+// discrete-event queue; SimDriver is the one simulation loop.
 #pragma once
 
 #include <cstdint>
@@ -143,21 +140,6 @@ class GossipNetwork {
   GossipNetwork(Topology topology, GossipConfig config,
                 ServiceConfig sampler_config);
 
-  // --- Compatibility shims -------------------------------------------------
-
-  /// COMPATIBILITY SHIM.  Runs one tick of a SimDriver in the degenerate
-  /// TimingModel::rounds() config — bit-identical to the historical
-  /// lockstep round.  New code should construct a SimDriver directly.
-  void run_round();
-  /// COMPATIBILITY SHIM.  See run_round(); runs `rounds` ticks under one
-  /// degenerate-config SimDriver.
-  void run_rounds(std::size_t rounds);
-
-  /// The original lockstep loop, kept verbatim as the specification oracle
-  /// for the event engine's differential tests (event_engine_test.cpp).
-  /// Not part of the simulation API — drive simulations through SimDriver.
-  void run_round_reference();
-
   // --- Engine contract (called by SimDriver; see sim/driver.hpp) -----------
 
   /// Tick boundary: forwards to the installed adversary's begin_tick hook.
@@ -266,7 +248,7 @@ class GossipNetwork {
 
 template <typename DeliverFn>
 void GossipNetwork::emit_sends(std::size_t from, DeliverFn&& deliver_fn) {
-  // This is the historical run_round() send body, verbatim: the order of
+  // This is the historical lockstep send body, verbatim: the order of
   // deliver_fn calls and of network-RNG draws is a behaviour contract that
   // every committed figure checksum depends on.
   if (!active_[from]) return;

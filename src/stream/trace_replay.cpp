@@ -1,9 +1,7 @@
 #include "stream/trace_replay.hpp"
 
-#include <array>
+#include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 
@@ -25,26 +23,12 @@ std::string_view to_string(TraceReplayConfig::Kind kind) {
   return "?";
 }
 
-std::string_view to_string(TraceReplayConfig::IoMode mode) {
-  switch (mode) {
-    case TraceReplayConfig::IoMode::kBuffered:
-      return "buffered";
-    case TraceReplayConfig::IoMode::kSlurp:
-      return "slurp";
-  }
-  return "?";
-}
-
 void validate(const TraceReplayConfig& config) {
   if (config.ids_per_round == 0)
     throw std::invalid_argument("trace replay: ids_per_round must be > 0");
   if (config.kind == TraceReplayConfig::Kind::kTraceFile) {
     if (config.path.empty())
       throw std::invalid_argument("trace replay: file kind needs a path");
-    if (config.io == TraceReplayConfig::IoMode::kBuffered &&
-        config.buffer_ids == 0)
-      throw std::invalid_argument(
-          "trace replay: buffered IO needs buffer_ids > 0");
     return;
   }
   // Generator kinds share the Zipf base distribution.
@@ -83,156 +67,18 @@ void validate(const TraceReplayConfig& config) {
   }
 }
 
-namespace {
-constexpr std::array<char, 8> kMagic = {'U', 'S', 'T', 'R', 'C', '0', '0',
-                                        '1'};
-}  // namespace
-
-// Incremental trace decoding.  kSlurp holds the whole decoded stream;
-// kBuffered keeps two chunk buffers — while the front drains, the back
-// already holds the next chunk — decoding text lines or binary run-length
-// pairs exactly as trace_io's whole-file loaders do (a run longer than a
-// chunk simply spans refills).
-struct TraceReplaySource::FileReader {
-  explicit FileReader(const TraceReplayConfig& config) {
-    slurp = config.io == TraceReplayConfig::IoMode::kSlurp;
-    buffer_ids = config.buffer_ids;
-    // Sniff the format: the binary header's magic vs anything else.
-    {
-      std::ifstream probe(config.path, std::ios::binary);
-      if (!probe) throw std::runtime_error("cannot open " + config.path);
-      std::array<char, 8> magic{};
-      probe.read(magic.data(), magic.size());
-      binary = probe &&
-               std::memcmp(magic.data(), kMagic.data(), kMagic.size()) == 0;
-    }
-    path = config.path;
-    in.open(path, binary ? std::ios::in | std::ios::binary : std::ios::in);
-    if (!in) throw std::runtime_error("cannot open " + path);
-    if (binary) {
-      in.seekg(static_cast<std::streamoff>(kMagic.size()));
-      runs_left = read_u64();
-      declared_total = read_u64();
-    }
-    if (slurp) {
-      // Decode everything now; serving is a cursor walk.
-      Stream chunk;
-      do {
-        chunk.clear();
-        fill(chunk);
-        all.insert(all.end(), chunk.begin(), chunk.end());
-      } while (!chunk.empty());
-    } else {
-      fill(buf[0]);
-      fill(buf[1]);
-    }
-  }
-
-  std::uint64_t read_u64() {
-    std::array<unsigned char, 8> bytes;
-    in.read(reinterpret_cast<char*>(bytes.data()), 8);
-    if (!in) throw std::runtime_error("unexpected end of binary trace");
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | bytes[i];
-    return v;
-  }
-
-  /// Decodes up to buffer_ids further ids into `sink` (append).  An empty
-  /// result means end of trace.
-  void fill(Stream& sink) {
-    const std::size_t target = sink.size() + buffer_ids;
-    if (binary) {
-      while (sink.size() < target) {
-        if (run_left == 0) {
-          if (runs_left == 0) break;
-          run_id = static_cast<NodeId>(read_u64());
-          run_left = read_u64();
-          --runs_left;
-          continue;  // a zero-length run is legal and contributes nothing
-        }
-        const std::uint64_t take = std::min<std::uint64_t>(
-            run_left, static_cast<std::uint64_t>(target - sink.size()));
-        sink.insert(sink.end(), static_cast<std::size_t>(take), run_id);
-        run_left -= take;
-        decoded_total += take;
-      }
-      if (runs_left == 0 && run_left == 0 && !length_checked) {
-        length_checked = true;
-        if (decoded_total != declared_total)
-          throw std::runtime_error("binary trace length mismatch in " + path);
-      }
-      return;
-    }
-    std::string line;
-    while (sink.size() < target && std::getline(in, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      std::size_t pos = 0;
-      const unsigned long long v = std::stoull(line, &pos);
-      if (pos != line.size())
-        throw std::runtime_error("malformed id line in " + path + ": " + line);
-      sink.push_back(static_cast<NodeId>(v));
-    }
-  }
-
-  /// Serves the next id; false at end of trace.
-  bool next(NodeId& id) {
-    if (slurp) {
-      if (pos == all.size()) return false;
-      id = all[pos++];
-      return true;
-    }
-    if (cur_pos == buf[cur].size()) {
-      // Front buffer drained: prefetch the chunk after next into it, then
-      // serve from the back buffer that was filled one swap ago.
-      buf[cur].clear();
-      fill(buf[cur]);
-      cur ^= 1;
-      cur_pos = 0;
-      if (buf[cur].empty()) return false;
-    }
-    id = buf[cur][cur_pos++];
-    return true;
-  }
-
-  std::string path;
-  std::ifstream in;
-  bool binary = false;
-  bool slurp = false;
-  // Binary decode state: pairs left in the file and the current run's
-  // remainder (a run may span many chunks).
-  std::uint64_t runs_left = 0;
-  NodeId run_id = 0;
-  std::uint64_t run_left = 0;
-  std::uint64_t declared_total = 0;
-  std::uint64_t decoded_total = 0;
-  bool length_checked = false;
-  // Slurp state.
-  Stream all;
-  std::size_t pos = 0;
-  // Buffered state.
-  std::size_t buffer_ids = 0;
-  Stream buf[2];
-  std::size_t cur = 0;
-  std::size_t cur_pos = 0;
-};
-
 TraceReplaySource::TraceReplaySource(TraceReplayConfig config)
     : config_(std::move(config)),
       rng_(derive_seed(config_.seed, 0x7ACE)) {
   validate(config_);
   if (config_.kind == TraceReplayConfig::Kind::kTraceFile) {
-    file_ = std::make_unique<FileReader>(config_);
+    file_.emplace(config_.path);
   } else {
     const std::vector<double> weights =
         zipf_weights(config_.domain, config_.zipf_alpha);
     zipf_.emplace(weights);
   }
 }
-
-TraceReplaySource::~TraceReplaySource() = default;
-TraceReplaySource::TraceReplaySource(TraceReplaySource&&) noexcept = default;
-TraceReplaySource& TraceReplaySource::operator=(TraceReplaySource&&) noexcept =
-    default;
 
 std::size_t TraceReplaySource::round_volume(std::size_t round) const {
   const double base = static_cast<double>(config_.ids_per_round);
@@ -266,11 +112,9 @@ std::size_t TraceReplaySource::next_round(Stream& out) {
   const std::size_t round = rounds_++;
   std::size_t produced = 0;
   if (config_.kind == TraceReplayConfig::Kind::kTraceFile) {
-    NodeId id = 0;
-    for (std::size_t i = 0; i < config_.ids_per_round && file_->next(id); ++i) {
-      out.push_back(id + config_.id_offset);
-      ++produced;
-    }
+    const std::size_t first = out.size();
+    produced = file_->read(out, config_.ids_per_round);
+    for (std::size_t i = first; i < out.size(); ++i) out[i] += config_.id_offset;
     total_ += produced;
     return produced;
   }

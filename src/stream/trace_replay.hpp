@@ -9,10 +9,9 @@
 //
 //  * recorded traces on disk (the trace_io formats: one-id-per-line text or
 //    USTRC001 run-length binary, e.g. the calibrated webtrace streams),
-//    replayed either by slurping the whole file or through a double-buffered
-//    chunked reader that decodes the next chunk into a back buffer while
-//    the front buffer drains — so multi-million-id traces stream through
-//    the engine at O(buffer_ids) memory;
+//    decoded by trace_io's TraceReader one round at a time — so
+//    multi-million-id traces stream through the engine at O(ids_per_round)
+//    memory;
 //  * deterministic generators for three production shapes: diurnal load
 //    (triangle-wave volume), flash crowds (a volume spike concentrated on a
 //    small hot set), and drifting heavy hitters (the Zipf head rotates
@@ -20,10 +19,10 @@
 //
 // Contracts:
 //  - Determinism: the emitted sequence is a pure function of the config
-//    (including the file bytes for kTraceFile).  The buffered and slurp IO
-//    modes are bit-identical for the same file (differential-tested), and
-//    the volume shaping uses only IEEE arithmetic (+ llround) — no libm
-//    transcendentals — so every machine generates the same stream.
+//    (including the file bytes for kTraceFile: a replay returns exactly the
+//    stream trace_io's writers saved, offset).  The volume shaping uses only
+//    IEEE arithmetic (+ llround) — no libm transcendentals — so every
+//    machine generates the same stream.
 //  - Id space: every emitted id is offset by `id_offset`.  Scenario
 //    workloads must keep honest trace ids above kHonestTraceIdBase so they
 //    can never collide with real node ids, the static forged pool, or the
@@ -31,12 +30,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 
 #include "stream/discrete_sampler.hpp"
+#include "stream/trace_io.hpp"
 #include "stream/types.hpp"
 #include "util/rng.hpp"
 
@@ -53,10 +52,6 @@ struct TraceReplayConfig {
     kDiurnal,         ///< Zipf stream, triangle-wave volume
     kFlashCrowd,      ///< Zipf stream + a volume spike on a small hot set
     kDriftingHotSet,  ///< Zipf stream whose head drifts through the domain
-  };
-  enum class IoMode {
-    kBuffered,  ///< double-buffered chunked decode, O(buffer_ids) memory
-    kSlurp,     ///< load the whole file up front (differential anchor)
   };
 
   Kind kind = Kind::kDiurnal;
@@ -91,18 +86,14 @@ struct TraceReplayConfig {
   std::size_t drift_every = 32;
   std::size_t drift_step = 1;
 
-  /// kTraceFile: the trace path (format sniffed from the USTRC001 magic)
-  /// and how to read it.  buffer_ids is the chunk size of kBuffered.
+  /// kTraceFile: the trace path (format sniffed from the USTRC001 magic).
   std::string path;
-  IoMode io = IoMode::kBuffered;
-  std::size_t buffer_ids = 4096;
 };
 
 std::string_view to_string(TraceReplayConfig::Kind kind);
-std::string_view to_string(TraceReplayConfig::IoMode mode);
 
 /// Validates the config's per-kind invariants (positive volume, period >= 2,
-/// shares/amplitudes in [0, 1], non-empty path, positive buffer, ...).
+/// shares/amplitudes in [0, 1], non-empty path, ...).
 /// Throws std::invalid_argument.  File existence/readability is checked at
 /// source construction, not here.
 void validate(const TraceReplayConfig& config);
@@ -111,7 +102,7 @@ void validate(const TraceReplayConfig& config);
 ///
 /// Contracts:
 ///  - Determinism: see the header comment; next_round(r) for r = 0, 1, ...
-///    emits the same ids on every machine and for either IoMode.
+///    emits the same ids on every machine.
 ///  - One pass: rounds are generated in order; there is no rewind.
 ///  - Thread-safety: none.
 class TraceReplaySource {
@@ -119,9 +110,6 @@ class TraceReplaySource {
   /// Validates the config; kTraceFile opens the file (throws
   /// std::runtime_error on IO failure, like trace_io's loaders).
   explicit TraceReplaySource(TraceReplayConfig config);
-  ~TraceReplaySource();
-  TraceReplaySource(TraceReplaySource&&) noexcept;
-  TraceReplaySource& operator=(TraceReplaySource&&) noexcept;
 
   /// Appends the next round's ids to `out` and returns how many were
   /// appended.  Generator kinds always produce the round's full volume;
@@ -136,14 +124,12 @@ class TraceReplaySource {
   const TraceReplayConfig& config() const { return config_; }
 
  private:
-  struct FileReader;  // buffered / slurp trace decoding (trace_replay.cpp)
-
   std::size_t round_volume(std::size_t round) const;
 
   TraceReplayConfig config_;
   std::optional<DiscreteSampler> zipf_;  // generator kinds only
   Xoshiro256 rng_;
-  std::unique_ptr<FileReader> file_;  // kTraceFile only
+  std::optional<TraceReader> file_;  // kTraceFile only
   std::size_t rounds_ = 0;
   std::uint64_t total_ = 0;
 };

@@ -31,7 +31,8 @@ TEST(Churn, EventsHappenAndEveryoneReturnsAtT0) {
   churn.pre_t0_rounds = 40;
   churn.leave_probability = 0.1;
   churn.seed = 7;
-  const std::size_t events = run_churn_phase(net, churn);
+  SimDriver driver(net);
+  const std::size_t events = run_churn_phase(driver, churn);
   EXPECT_GT(events, 0u);
   for (std::size_t i = 0; i < net.size(); ++i)
     EXPECT_TRUE(net.is_active(i)) << "node " << i << " not restored at T0";
@@ -46,7 +47,8 @@ TEST(Churn, RespectsMinActiveFloor) {
   churn.rejoin_probability = 0.05;
   churn.min_active = 3;
   churn.seed = 11;
-  const auto report = run_churn_phase_with_report(net, churn);
+  SimDriver driver(net);
+  const auto report = run_churn_phase_with_report(driver, churn);
   EXPECT_GE(report.min_active_seen, 3u);
   EXPECT_GT(report.events, 0u);
 }
@@ -57,7 +59,8 @@ TEST(Churn, ReportTracksConnectivity) {
   ChurnConfig churn;
   churn.pre_t0_rounds = 30;
   churn.seed = 3;
-  const auto report = run_churn_phase_with_report(net, churn);
+  SimDriver driver(net);
+  const auto report = run_churn_phase_with_report(driver, churn);
   EXPECT_EQ(report.rounds, 30u);
   EXPECT_EQ(report.connected_rounds, 30u);
 }
@@ -72,7 +75,8 @@ TEST(Churn, SparseOverlayCanDisconnectDuringChurn) {
   churn.leave_probability = 0.3;
   churn.rejoin_probability = 0.3;
   churn.seed = 13;
-  const auto report = run_churn_phase_with_report(net, churn);
+  SimDriver driver(net);
+  const auto report = run_churn_phase_with_report(driver, churn);
   EXPECT_LT(report.connected_rounds, report.rounds);
 }
 
@@ -82,14 +86,15 @@ TEST(Churn, DeterministicBySeed) {
     ChurnConfig churn;
     churn.pre_t0_rounds = 25;
     churn.seed = seed;
-    return run_churn_phase(net, churn);
+    SimDriver driver(net);
+    return run_churn_phase(driver, churn);
   };
   EXPECT_EQ(run(42), run(42));
 }
 
 TEST(Churn, SamplingContinuesAfterT0) {
   GossipNetwork net(Topology::complete(15), gossip_cfg(), service_cfg());
-  // One driver spans churn and post-T0 operation (the SimDriver overload).
+  // One driver spans churn and post-T0 operation.
   SimDriver driver(net, TimingModel::rounds());
   ChurnConfig churn;
   churn.pre_t0_rounds = 30;
@@ -99,26 +104,6 @@ TEST(Churn, SamplingContinuesAfterT0) {
   driver.run_ticks(20);
   EXPECT_GT(net.service(3).processed(), processed_at_t0);
   EXPECT_TRUE(net.service(3).sample().has_value());
-}
-
-TEST(Churn, DriverOverloadMatchesCompatibilityShim) {
-  // The GossipNetwork overload is a documented shim over a rounds-mode
-  // SimDriver; both paths must leave bit-identical worlds.
-  ChurnConfig churn;
-  churn.pre_t0_rounds = 25;
-  churn.seed = 13;
-  GossipNetwork shim_net(Topology::complete(12), gossip_cfg(), service_cfg());
-  const std::size_t shim_events = run_churn_phase(shim_net, churn);
-  GossipNetwork driver_net(Topology::complete(12), gossip_cfg(),
-                           service_cfg());
-  SimDriver driver(driver_net, TimingModel::rounds());
-  const std::size_t driver_events = run_churn_phase(driver, churn);
-  EXPECT_EQ(shim_events, driver_events);
-  EXPECT_EQ(shim_net.delivered(), driver_net.delivered());
-  for (std::size_t i = 0; i < shim_net.size(); ++i)
-    EXPECT_EQ(shim_net.service(i).processed(),
-              driver_net.service(i).processed())
-        << "node " << i;
 }
 
 }  // namespace

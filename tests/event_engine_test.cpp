@@ -2,7 +2,8 @@
 // ordering, the per-link latency model, and the differential contracts that
 // license the whole PR — SimDriver's degenerate rounds config must be
 // bit-identical to the legacy lockstep loop (kept as
-// GossipNetwork::run_round_reference, the specification oracle) on
+// run_round_reference in support/lockstep_oracle.hpp, the specification
+// oracle) on
 // figure-style scenarios including mid-run churn, zero-latency event mode
 // must match rounds mode even though every id then traverses the queue,
 // and bounded-inbox drop accounting must satisfy its conservation law.
@@ -16,6 +17,7 @@
 #include "sim/event_engine.hpp"
 #include "sim/gossip.hpp"
 #include "sim/topology.hpp"
+#include "support/lockstep_oracle.hpp"
 
 namespace unisamp {
 namespace {
@@ -202,7 +204,7 @@ TEST(SimDriverDifferential, RoundsModeMatchesLockstepOracleWithMidRunChurn) {
         for (const std::size_t id : churned) reference.set_active(id, false);
       if (r == 10)
         for (const std::size_t id : churned) reference.set_active(id, true);
-      reference.run_round_reference();
+      run_round_reference(reference);
     }
 
     GossipNetwork driven(world.topology, world.gossip, recording_service());
@@ -241,18 +243,6 @@ TEST(SimDriverDifferential, ZeroLatencyEventModeMatchesRoundsMode) {
               event_driver.stats().messages_delivered +
                   event_driver.stats().messages_heard);
   }
-}
-
-TEST(SimDriverDifferential, ShimsRunTheDegenerateConfig) {
-  // run_round()/run_rounds() are documented one-liners over SimDriver; pin
-  // them against the oracle so out-of-tree callers keep bit-identity.
-  FigStyle world = fig_style_worlds()[1];
-  GossipNetwork reference(world.topology, world.gossip, recording_service());
-  for (std::size_t r = 0; r < 9; ++r) reference.run_round_reference();
-  GossipNetwork shimmed(world.topology, world.gossip, recording_service());
-  shimmed.run_round();
-  shimmed.run_rounds(8);
-  expect_worlds_identical(reference, shimmed);
 }
 
 // ------------------------------------------------------------- event timing
@@ -440,7 +430,7 @@ TEST(SimDriverChurn, ScheduledEventsMatchManualToggles) {
   for (std::size_t r = 0; r < 8; ++r) {
     if (r == 2) manual.set_active(7, false);
     if (r == 5) manual.set_active(7, true);
-    manual.run_round_reference();
+    run_round_reference(manual);
   }
 
   GossipNetwork scheduled(topo, cfg, recording_service());

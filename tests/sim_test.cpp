@@ -118,10 +118,7 @@ ServiceConfig basic_service() {
 
 TEST(Gossip, DeliversIdsToAllCorrectNodes) {
   GossipNetwork net(Topology::ring(20, 2), basic_gossip(), basic_service());
-  // Deliberately stays on the run_rounds compatibility shim: pins that the
-  // legacy entry point still drives the network (everything else in this
-  // file uses SimDriver, the real API).
-  net.run_rounds(10);
+  SimDriver(net).run_ticks(10);
   EXPECT_GT(net.delivered(), 0u);
   for (std::size_t i = 0; i < 20; ++i)
     EXPECT_GT(net.service(i).processed(), 0u) << "node " << i;

@@ -1,9 +1,10 @@
 // TraceReplaySource (src/stream/trace_replay.*): config validation, the
 // deterministic production-workload generators (diurnal / flash crowd /
-// drifting hot set), buffered-vs-slurp bit-identity on both trace_io
+// drifting hot set), the writer-to-replay round trip on both trace_io
 // formats, and the engine workload leg's does-not-perturb-gossip contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -71,13 +72,9 @@ TEST(TraceReplayConfigTest, ValidateRejectsBadConfigs) {
   config.kind = TraceReplayConfig::Kind::kTraceFile;
   EXPECT_THROW(validate(config), std::invalid_argument);  // empty path
   config.path = "whatever.trace";
-  config.buffer_ids = 0;
-  EXPECT_THROW(validate(config), std::invalid_argument);
-  config.io = TraceReplayConfig::IoMode::kSlurp;
-  EXPECT_NO_THROW(validate(config));  // buffer size irrelevant under slurp
+  EXPECT_NO_THROW(validate(config));
 
   EXPECT_EQ(to_string(TraceReplayConfig::Kind::kFlashCrowd), "flash-crowd");
-  EXPECT_EQ(to_string(TraceReplayConfig::IoMode::kBuffered), "buffered");
 }
 
 TEST(TraceReplayGeneratorTest, GeneratorsAreDeterministicAndOffset) {
@@ -166,16 +163,20 @@ TEST(TraceReplayGeneratorTest, DriftShiftsTheWholeDistribution) {
   }
 }
 
-TEST(TraceReplayFileTest, BufferedAndSlurpAreBitIdenticalOnBothFormats) {
-  // A stream with runs (so the binary format exercises run splitting) and
-  // a buffer size that is neither a divisor of the length nor of any run.
+TEST(TraceReplayFileTest, ReplayReturnsTheWrittenStreamOnBothFormats) {
+  // 7 ids per round divides neither the trace length nor any run, so
+  // rounds end mid-run, runs longer than 7 span rounds, and the last round
+  // is partial.
+  constexpr std::size_t kPerRound = 7;
   Stream trace;
   Xoshiro256 rng(99);
   for (int i = 0; i < 500; ++i) {
     const NodeId id = rng.next_below(25);
-    const std::size_t run = 1 + rng.next_below(9);
+    std::size_t run = 1 + rng.next_below(15);
+    if (run % kPerRound == 0) ++run;
     for (std::size_t k = 0; k < run; ++k) trace.push_back(id);
   }
+  if (trace.size() % kPerRound == 0) trace.push_back(0);
   const std::string text_path = temp_trace_path("text");
   const std::string binary_path = temp_trace_path("binary");
   save_stream_text(trace, text_path);
@@ -185,28 +186,21 @@ TEST(TraceReplayFileTest, BufferedAndSlurpAreBitIdenticalOnBothFormats) {
     TraceReplayConfig config;
     config.kind = TraceReplayConfig::Kind::kTraceFile;
     config.path = path;
-    config.ids_per_round = 97;
+    config.ids_per_round = kPerRound;
     config.id_offset = kHonestTraceIdBase;
-    config.buffer_ids = 7;  // forces many refills and mid-run splits
-    TraceReplayConfig slurp_config = config;
-    slurp_config.io = TraceReplayConfig::IoMode::kSlurp;
-
-    TraceReplaySource buffered(config);
-    TraceReplaySource slurped(slurp_config);
-    Stream from_buffered, from_slurped;
-    std::uint64_t emitted = 0;
+    TraceReplaySource source(config);
+    Stream replayed;
     for (;;) {
-      const std::size_t got = buffered.next_round(from_buffered);
-      ASSERT_EQ(slurped.next_round(from_slurped), got) << path;
+      const std::size_t remaining = trace.size() - replayed.size();
+      const std::size_t got = source.next_round(replayed);
+      ASSERT_EQ(got, std::min(kPerRound, remaining)) << path;
       if (got == 0) break;
-      emitted += got;
     }
-    ASSERT_EQ(from_buffered, from_slurped) << path;
-    EXPECT_EQ(emitted, trace.size()) << path;
-    // The replay is the file's stream, offset into the honest id space.
-    ASSERT_EQ(from_buffered.size(), trace.size()) << path;
+    EXPECT_EQ(source.total_ids(), trace.size()) << path;
+    // The replay is the written stream, offset into the honest id space.
+    ASSERT_EQ(replayed.size(), trace.size()) << path;
     for (std::size_t i = 0; i < trace.size(); ++i)
-      ASSERT_EQ(from_buffered[i], trace[i] + kHonestTraceIdBase) << path;
+      ASSERT_EQ(replayed[i], trace[i] + kHonestTraceIdBase) << path;
   }
   std::remove(text_path.c_str());
   std::remove(binary_path.c_str());

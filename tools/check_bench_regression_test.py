@@ -13,9 +13,6 @@ verdict lines for every path the CI jobs rely on:
   * empty current / baseline record set     -> 2
   * empty directory / unknown schema        -> 2
   * directory mode merging bench reports and figure sidecars -> 0
-  * PENDING-multicore baseline, >= 8 cores  -> 1 (re-seed demanded)
-  * PENDING-multicore baseline, < 8 cores   -> 0 with a printed note
-  * --multicore-bar met / missed / missing scenarios -> 0 / 1 / 2
 
 Registered with ctest as `bench_regression_checker_test` (label unit) so a
 checker that stops failing when it should fails the tier-1 gate itself.
@@ -31,12 +28,11 @@ CHECKER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "check_bench_regression.py")
 
 
-def bench_report(scenarios, quick=False, seed=1, machine=""):
+def bench_report(scenarios, quick=False, seed=1):
     return {
         "schema": "unisamp-bench-v1",
         "quick": quick,
         "warmup": 1, "repeats": 3, "seed": seed,
-        "machine": machine,
         "scenarios": [{
             "name": name,
             "description": "fixture",
@@ -176,36 +172,6 @@ def main():
                         "--timing=report")
         check("figure checksum drift fails in directory mode", 1, code, out,
               "checksum changed")
-
-        # PENDING-multicore baseline hygiene: identical timings, but the
-        # baseline's machine note still says its numbers are 1-core.
-        pending = write(tmp, "pending.json", bench_report([
-            ("service/batch_ingest", 1000, 50, 400.0, 1.0),
-            ("service/sharded_ingest", 1000, 51, 100.0, 1.0),
-        ], machine="PENDING multicore refresh: fixture"))
-        cur = write(tmp, "mc_cur.json", bench_report([
-            ("service/batch_ingest", 1000, 50, 400.0, 1.0),
-            ("service/sharded_ingest", 1000, 51, 100.0, 1.0),
-        ]))
-        code, out = run(pending, cur, "--host-cores=8")
-        check("pending baseline fails on a multicore host", 1, code, out,
-              "BASELINE STALE", "re-seed")
-        code, out = run(pending, cur, "--host-cores=1")
-        check("pending baseline noted on a small host", 0, code, out,
-              "PENDING multicore refresh", "checksums remain authoritative")
-
-        # The sharded-vs-batch throughput bar: 4x speedup in the fixture.
-        code, out = run(pending, cur, "--host-cores=1", "--multicore-bar=3")
-        check("multicore bar met", 0, code, out, "4.00x", "ok")
-        code, out = run(pending, cur, "--host-cores=1", "--multicore-bar=6")
-        check("multicore bar missed", 1, code, out, "BELOW BAR")
-        without = write(tmp, "mc_without.json", bench_report([
-            ("service/batch_ingest", 1000, 50, 400.0, 1.0),
-        ]))
-        code, out = run(without, without, "--multicore-bar=3",
-                        "--host-cores=1")
-        check("multicore bar without scenarios errors", 2, code, out,
-              "needs service/sharded_ingest")
 
     if failures:
         print(f"\n{len(failures)} self-test failure(s):\n")
