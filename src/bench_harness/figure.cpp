@@ -1,15 +1,16 @@
 #include "bench_harness/figure.hpp"
 
 #include <bit>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <string_view>
 
 #include "bench_harness/json_writer.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 
 namespace unisamp::bench_harness {
 
@@ -37,15 +38,13 @@ FigureCli parse_figure_cli(int argc, const char* const* argv) {
     } else if (arg == "--help" || arg == "-h") {
       cli.help = true;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long v =
-          std::strtoull(arg.c_str() + 7, &end, 10);
-      if (end == nullptr || *end != '\0' || v == 0 || errno == ERANGE) {
+      const std::optional<std::uint64_t> v =
+          parse_u64(std::string_view(arg).substr(7));
+      if (!v || *v == 0) {
         cli.error = "invalid --seed value: " + arg;
         return cli;
       }
-      cli.seed = v;
+      cli.seed = *v;
     } else if (arg.rfind("--out-dir=", 0) == 0) {
       cli.out_dir = arg.substr(10);
       if (cli.out_dir.empty()) {

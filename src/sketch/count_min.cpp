@@ -174,20 +174,6 @@ void CountMinSketch::recompute_min() {
   min_multiplicity_ = mult;
 }
 
-ConservativeCountMinSketch::ConservativeCountMinSketch(
-    const CountMinParams& params)
-    : layout_(sketch_detail::make_layout(params.width, params.depth)),
-      a_(params.depth),
-      b_(params.depth),
-      magic_(reciprocal_magic(params.width)),
-      kernel_(sketch_detail::kernel_fn(
-          sketch_detail::resolve_kernel(params.kernel))),
-      resolved_(sketch_detail::resolve_kernel(params.kernel)),
-      table_(layout_.padded_count()),
-      min_multiplicity_(params.width * params.depth) {
-  draw_coefficients(params.depth, params.width, params.seed, a_, b_);
-}
-
 void ConservativeCountMinSketch::update(std::uint64_t item,
                                         std::uint64_t count) {
   (void)update_and_estimate(item, count);
@@ -237,47 +223,6 @@ std::uint64_t ConservativeCountMinSketch::update_and_estimate(
     idx[row] = static_cast<std::uint32_t>(col * layout_.stride + row);
   }
   return raise_cells(idx, 1, count);
-}
-
-std::uint64_t ConservativeCountMinSketch::estimate(std::uint64_t item) const {
-  const std::uint64_t mixed = premix(item);
-  std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t row = 0; row < layout_.depth; ++row) {
-    const std::uint64_t col = scalar_row_hash(a_[row], b_[row], magic_,
-                                              layout_.width, mixed);
-    best = std::min(best, table_[col * layout_.stride + row]);
-  }
-  return best;
-}
-
-std::uint64_t ConservativeCountMinSketch::update_and_estimate_prehashed(
-    const std::uint32_t* pre, std::size_t i, std::uint64_t count) {
-  return raise_cells(pre + i, kPrehashBlock, count);
-}
-
-void ConservativeCountMinSketch::rekey(const CountMinParams& params) {
-  if (params.width != layout_.width || params.depth != layout_.depth)
-    throw std::invalid_argument("rekey must preserve the sketch dimensions");
-  *this = ConservativeCountMinSketch(params);
-}
-
-void ConservativeCountMinSketch::recompute_min() {
-  std::uint64_t m = std::numeric_limits<std::uint64_t>::max();
-  std::size_t mult = 0;
-  for (std::size_t col = 0; col < layout_.width; ++col) {
-    const std::uint64_t* column = table_.data() + col * layout_.stride;
-    for (std::size_t row = 0; row < layout_.depth; ++row) {
-      const std::uint64_t v = column[row];
-      if (v < m) {
-        m = v;
-        mult = 1;
-      } else if (v == m) {
-        ++mult;
-      }
-    }
-  }
-  min_counter_ = m;
-  min_multiplicity_ = mult;
 }
 
 }  // namespace unisamp

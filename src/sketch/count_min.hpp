@@ -25,6 +25,11 @@
 // sketch/layout.hpp for the layout/kernel design and the bit-identity
 // contract (every counter, estimate and checksum is independent of layout
 // and kernel choice; tests/sketch_layout_differential_test.cpp pins it).
+//
+// CountMinSketch is the one engine.  ConservativeCountMinSketch (below) and
+// DecayingCountMinSketch (sketch/decaying.hpp) are update rules over it:
+// they derive privately, re-export the engine's reads, and own only their
+// update calls.  The engine's state is protected for them.
 #pragma once
 
 #include <cassert>
@@ -221,7 +226,7 @@ class CountMinSketch {
     return table_[layout_.index(row, col)];
   }
 
- private:
+ protected:
   void recompute_min();
 
   sketch_detail::HashBlockArgs hash_args() const noexcept {
@@ -264,19 +269,22 @@ class CountMinSketch {
 /// estimates than plain Count-Min for point queries; used as an ablation of
 /// the knowledge-free sampler's frequency oracle.
 ///
-/// Same complexity / determinism / thread-safety / batch-front-end
-/// contracts as CountMinSketch (O(s) updates and point reads,
-/// bit-deterministic from (dimensions, seed, call sequence) for any kernel,
-/// const-safe only).
-class ConservativeCountMinSketch {
+/// Only the update rule is its own: storage, hash bank, kernels, prefetch,
+/// the estimate reads and min tracking are CountMinSketch's, so the
+/// complexity / determinism / thread-safety / batch-front-end contracts are
+/// the same (O(s) updates and point reads, bit-deterministic from
+/// (dimensions, seed, call sequence) for any kernel, const-safe only).
+/// Conservative update never decreases a counter, so the minimum is
+/// monotone and the inherited multiplicity tracking stays exact.  merge and
+/// halve are not defined for this rule and stay hidden.
+class ConservativeCountMinSketch : private CountMinSketch {
  public:
-  static constexpr std::size_t kPrehashBlock = sketch_detail::kPrehashBlock;
-  static constexpr std::size_t kMaxDepth = sketch_detail::kMaxDepth;
+  using CountMinSketch::kMaxDepth;
+  using CountMinSketch::kPrehashBlock;
 
-  explicit ConservativeCountMinSketch(const CountMinParams& params);
+  using CountMinSketch::CountMinSketch;
 
   void update(std::uint64_t item, std::uint64_t count = 1);
-  std::uint64_t estimate(std::uint64_t item) const;
 
   /// Fused update + estimate (see CountMinSketch::update_and_estimate).
   /// The conservative rule raises every lagging cell to est+count, so the
@@ -284,84 +292,27 @@ class ConservativeCountMinSketch {
   /// read pass, bit-identical to update() then estimate().
   std::uint64_t update_and_estimate(std::uint64_t item,
                                     std::uint64_t count = 1);
-
-  /// Batch front-end, identical contract to CountMinSketch.
-  void prehash_block(const std::uint64_t* items, std::size_t n,
-                     std::uint32_t* out) const {
-    assert(n <= kPrehashBlock);
-    kernel_(hash_args(), items, n, out);
-    if (layout_.padded_count() * sizeof(std::uint64_t) >=
-        sketch_detail::kPrefetchMinBytes) {
-      const std::uint64_t* base = table_.data();
-      for (std::size_t row = 0; row < layout_.depth; ++row)
-        for (std::size_t i = 0; i < n; ++i)
-          __builtin_prefetch(base + out[row * kPrehashBlock + i], 1);
-    }
-  }
   std::uint64_t update_and_estimate_prehashed(const std::uint32_t* pre,
                                               std::size_t i,
-                                              std::uint64_t count = 1);
-  std::uint64_t estimate_prehashed(const std::uint32_t* pre,
-                                   std::size_t i) const {
-    std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t row = 0; row < layout_.depth; ++row)
-      best = std::min(best, table_[pre[row * kPrehashBlock + i]]);
-    return best;
+                                              std::uint64_t count = 1) {
+    return raise_cells(pre + i, kPrehashBlock, count);
   }
 
-  /// min_sigma over the whole matrix.  O(1): maintained incrementally the
-  /// same way CountMinSketch does (conservative update never decreases a
-  /// counter, so the minimum is monotone and a multiplicity count suffices).
-  std::uint64_t min_counter() const { return min_counter_; }
-  std::uint64_t total_count() const { return total_; }
-  std::size_t width() const { return layout_.width; }
-  std::size_t depth() const { return layout_.depth; }
-
-  /// Key rotation; same contract as CountMinSketch::rekey.
-  void rekey(const CountMinParams& params);
-
-  std::string_view kernel_name() const {
-    return sketch_detail::kernel_name(resolved_);
-  }
-
-  /// Direct row access for white-box tests.
-  std::uint64_t counter_at(std::size_t row, std::size_t col) const {
-    assert(row < layout_.depth && col < layout_.width);
-    return table_[layout_.index(row, col)];
-  }
+  using CountMinSketch::counter_at;
+  using CountMinSketch::depth;
+  using CountMinSketch::estimate;
+  using CountMinSketch::estimate_prehashed;
+  using CountMinSketch::kernel_name;
+  using CountMinSketch::min_counter;
+  using CountMinSketch::prehash_block;
+  using CountMinSketch::rekey;  // no state of its own to reset
+  using CountMinSketch::total_count;
+  using CountMinSketch::width;
 
  private:
-  void recompute_min();
   /// Shared read-then-raise body over precomputed physical cell indices.
   std::uint64_t raise_cells(const std::uint32_t* idx, std::size_t idx_stride,
                             std::uint64_t count);
-
-  sketch_detail::HashBlockArgs hash_args() const noexcept {
-    sketch_detail::HashBlockArgs args;
-    args.a = a_.data();
-    args.b = b_.data();
-    args.magic = magic_;
-    args.range = layout_.width;
-    args.depth = static_cast<std::uint32_t>(layout_.depth);
-    args.stride = static_cast<std::uint32_t>(layout_.stride);
-    return args;
-  }
-
-  static std::uint64_t premix(std::uint64_t item) noexcept {
-    return TwoUniversalFamily::reduce(SplitMix64::mix(item));
-  }
-
-  sketch_detail::InterleavedLayout layout_;
-  sketch_detail::AlignedU64Buffer a_;
-  sketch_detail::AlignedU64Buffer b_;
-  std::uint64_t magic_;
-  sketch_detail::HashBlockFn kernel_;
-  sketch_detail::ResolvedKernel resolved_;
-  sketch_detail::AlignedU64Buffer table_;
-  std::uint64_t total_ = 0;
-  std::uint64_t min_counter_ = 0;
-  // Counters currently equal to min_counter_ (see CountMinSketch).
-  std::size_t min_multiplicity_;
 };
 
 }  // namespace unisamp

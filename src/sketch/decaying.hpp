@@ -20,10 +20,15 @@
 
 namespace unisamp {
 
-class DecayingCountMinSketch {
+/// Decay rule over the one Count-Min engine (sketch/count_min.hpp), not a
+/// second sketch: the storage, hashing, estimate reads and min tracking are
+/// CountMinSketch's own; this class adds the half-life counters and the
+/// three decay-aware update calls.  merge is not part of its interface,
+/// and halve runs only on the decay schedule.
+class DecayingCountMinSketch : private CountMinSketch {
  public:
-  static constexpr std::size_t kPrehashBlock = CountMinSketch::kPrehashBlock;
-  static constexpr std::size_t kMaxDepth = CountMinSketch::kMaxDepth;
+  using CountMinSketch::kMaxDepth;
+  using CountMinSketch::kPrehashBlock;
 
   /// `half_life` = number of updates after which past contributions weigh
   /// half.  Decay is applied lazily in O(k*s) bursts every half_life
@@ -32,7 +37,6 @@ class DecayingCountMinSketch {
                          std::uint64_t half_life);
 
   void update(std::uint64_t item, std::uint64_t count = 1);
-  std::uint64_t estimate(std::uint64_t item) const;
   /// Fused update + estimate, bit-identical to the two-call sequence
   /// (including across a decay boundary: when this update triggers the
   /// halving, the returned estimate reads the halved counters, exactly as
@@ -44,40 +48,30 @@ class DecayingCountMinSketch {
   /// indices depend only on the id and the hash coefficients, so they stay
   /// valid across decay boundaries — a block prehashed before a halving is
   /// still consumed correctly after it.
-  void prehash_block(const std::uint64_t* items, std::size_t n,
-                     std::uint32_t* out) const {
-    inner_.prehash_block(items, n, out);
-  }
+  using CountMinSketch::prehash_block;
   std::uint64_t update_and_estimate_prehashed(const std::uint32_t* pre,
                                               std::size_t i,
                                               std::uint64_t count = 1);
-  std::uint64_t estimate_prehashed(const std::uint32_t* pre,
-                                   std::size_t i) const {
-    return inner_.estimate_prehashed(pre, i);
-  }
-  std::uint64_t min_counter() const;
-  /// Key rotation (see CountMinSketch::rekey): the inner sketch is rebuilt
-  /// with fresh coefficients and zeroed counters; the half-life is kept and
-  /// the decay phase restarts (a fresh sketch has nothing to decay).
+  /// Key rotation (see CountMinSketch::rekey): the sketch is rebuilt with
+  /// fresh coefficients and zeroed counters; the half-life is kept and the
+  /// decay phase restarts (a fresh sketch has nothing to decay).
   /// decay_count() keeps its cumulative history.
   void rekey(const CountMinParams& params);
-  std::uint64_t total_count() const { return inner_.total_count(); }
-  std::size_t width() const { return inner_.width(); }
-  std::size_t depth() const { return inner_.depth(); }
   std::uint64_t half_life() const { return half_life_; }
   std::uint64_t decay_count() const { return decays_; }
-  /// Logical counter (row, col) of the inner sketch — layout-independent
-  /// state probe for the differential tests.
-  std::uint64_t counter_at(std::size_t row, std::size_t col) const {
-    return inner_.counter_at(row, col);
-  }
-  /// The hashing kernel the inner sketch resolved to.
-  std::string_view kernel_name() const { return inner_.kernel_name(); }
+
+  using CountMinSketch::counter_at;
+  using CountMinSketch::depth;
+  using CountMinSketch::estimate;
+  using CountMinSketch::estimate_prehashed;
+  using CountMinSketch::kernel_name;
+  using CountMinSketch::min_counter;
+  using CountMinSketch::total_count;
+  using CountMinSketch::width;
 
  private:
   void decay();
 
-  CountMinSketch inner_;
   std::uint64_t half_life_;
   std::uint64_t since_decay_ = 0;
   std::uint64_t decays_ = 0;

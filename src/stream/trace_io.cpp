@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
+
+#include "util/parse.hpp"
 
 namespace unisamp {
 
@@ -103,13 +105,10 @@ std::size_t TraceReader::read(Stream& out, std::size_t max) {
   std::string line;
   while (out.size() - start < max && std::getline(in_, line)) {
     if (line.empty() || line[0] == '#') continue;
-    // from_chars takes no sign, whitespace or out-of-range value.
-    NodeId id = 0;
-    const char* const end = line.data() + line.size();
-    const auto [ptr, ec] = std::from_chars(line.data(), end, id);
-    if (ec != std::errc{} || ptr != end)
+    const std::optional<std::uint64_t> id = parse_u64(line);
+    if (!id)
       throw std::runtime_error("malformed id line in " + path_ + ": " + line);
-    out.push_back(id);
+    out.push_back(*id);
   }
   return out.size() - start;
 }

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
+
+#include "util/parse.hpp"
 
 namespace unisamp {
 
@@ -14,35 +18,31 @@ namespace {
 
 std::atomic<std::size_t> g_thread_override{0};
 
-// Largest worker count the env var may request: values above the cap are
-// CLAMPED to it (the user asked for "many threads"; 1024 is closer to that
-// intent than silently reverting to hardware_concurrency).  Negative or
-// non-numeric values are rejected and fall back to automatic resolution.
-// Keep this in sync with the trial_threads() doc in parallel.hpp.
+// Largest worker count UNISAMP_THREADS may request (see trial_threads()).
 constexpr std::size_t kMaxEnvThreads = 1024;
 
-std::size_t env_threads() {
-  const char* value = std::getenv("UNISAMP_THREADS");
-  if (value == nullptr) return 0;
-  const char* p = value;
-  while (*p == ' ' || *p == '\t') ++p;
-  if (*p < '0' || *p > '9') return 0;  // rejects '-': strtoul would wrap
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(p, &end, 10);
-  if (end == p || *end != '\0') return 0;
-  // Out-of-range values are still "above the cap": clamp them like any
-  // other oversized request instead of silently ignoring the variable.
-  if (errno == ERANGE || parsed > kMaxEnvThreads) return kMaxEnvThreads;
-  return static_cast<std::size_t>(parsed);
-}
-
 }  // namespace
+
+std::size_t env_count(const char* name, std::size_t fallback,
+                      std::size_t max) {
+  const char* value = std::getenv(name);
+  if (value == nullptr) return fallback;
+  std::string_view text(value);
+  text.remove_prefix(std::min(text.find_first_not_of(" \t"), text.size()));
+  if (text.empty() || text.find_first_not_of("0123456789") != text.npos)
+    return fallback;
+  // Digits only, so a failed parse means the value overflowed: that is
+  // still a request above the cap, and clamps like one.
+  const std::optional<std::uint64_t> parsed = parse_u64(text);
+  if (!parsed || *parsed > max) return max;
+  return *parsed == 0 ? fallback : static_cast<std::size_t>(*parsed);
+}
 
 std::size_t trial_threads() {
   const std::size_t override_count = g_thread_override.load();
   if (override_count > 0) return override_count;
-  const std::size_t from_env = env_threads();
+  const std::size_t from_env =
+      env_count("UNISAMP_THREADS", 0, kMaxEnvThreads);
   if (from_env > 0) return from_env;
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware > 0 ? hardware : 1;

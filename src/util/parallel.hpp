@@ -22,12 +22,19 @@
 
 namespace unisamp {
 
+/// Positive-count environment knob, one policy for every such variable so
+/// one value cannot mean different counts in different layers.  Leading
+/// spaces/tabs are tolerated; the rest must be digits only (util/parse.hpp).
+/// Values above `max` (overflowing ones included) CLAMP to `max`: the user
+/// asked for "many".  Unset, zero, negative or non-numeric values return
+/// `fallback`.
+std::size_t env_count(const char* name, std::size_t fallback,
+                      std::size_t max);
+
 /// Number of worker threads `parallel_for_index` uses.  Resolution order:
 /// the last `set_trial_threads` value if non-zero, else the
-/// UNISAMP_THREADS environment variable if set to a positive integer
-/// (leading whitespace tolerated; values above 1024 are clamped to 1024;
-/// zero, negative, or non-numeric values are ignored), else
-/// `std::thread::hardware_concurrency()` (at least 1).
+/// UNISAMP_THREADS environment variable read by `env_count` with a cap of
+/// 1024, else `std::thread::hardware_concurrency()` (at least 1).
 std::size_t trial_threads();
 
 /// Overrides the worker count (0 restores automatic resolution).

@@ -1,0 +1,65 @@
+#!/usr/bin/env python3
+"""unisamp_cli turns every bad argument list into a usage error.
+
+Usage: cli_usage_errors_test.py PATH/TO/unisamp_cli
+
+Runs the CLI on malformed numbers (signs, padding, junk), gen-attack
+without 1 <= n <= m and an unknown --strategy, and asserts exit status
+exactly 2 with the usage text on stderr: not 1 (a runtime failure), not a
+signal (a crash), not 0 (a silently misread value).
+
+Registered with ctest as `smoke_cli_usage_errors` (labels unit;smoke).
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    cli = argv[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = os.path.join(tmp, "t.txt")
+        with open(trace, "w") as f:
+            f.write("1\n2\n2\n3\n")
+        out = os.path.join(tmp, "out.txt")
+        cases = [
+            ["gen-attack", "peak", "0", "100", out],
+            ["gen-attack", "band", "0", "100", out],
+            ["gen-attack", "peak", "-1", "100", out],
+            ["gen-attack", "peak", "100", "10", out],
+            ["gen-attack", "peak", "10", "100", out, "7x"],
+            ["gen-trace", "nasa", "abc", out],
+            ["kl", trace, "-5"],
+            ["run", trace, out, "--strategy=bogus"],
+            ["run", trace, out, "--c= 5"],
+            ["run", trace, out, "--seed=-1"],
+            ["detect", trace, "--window=+10"],
+            ["effort", "10", "1e3", "0.5"],
+        ]
+        failures = 0
+        for args in cases:
+            proc = subprocess.run([cli, *args], capture_output=True,
+                                  text=True, timeout=120)
+            label = " ".join(a.replace(tmp, "$TMP") for a in args)
+            if proc.returncode == 2 and "usage:" in proc.stderr:
+                print(f"ok   {label}")
+                continue
+            failures += 1
+            how = (f"killed by signal {-proc.returncode}"
+                   if proc.returncode < 0 else f"exit {proc.returncode}")
+            print(f"FAIL {label}: {how}, expected exit 2 with usage\n"
+                  f"--- stderr ---\n{proc.stderr}")
+    if failures:
+        print(f"\n{failures} argument list(s) not rejected as usage errors")
+        return 1
+    print("\nevery bad argument list exits 2")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

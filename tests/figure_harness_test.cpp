@@ -201,6 +201,22 @@ TEST(FigureCliTest, RejectsUnknownAndMalformed) {
   EXPECT_FALSE(parse_figure_cli(2, empty_dir.data()).error.empty());
 }
 
+// The seed is digits only: strtoull would wrap "-1" to 2^64-1 and skip the
+// space in "--seed= 5".
+TEST(FigureCliTest, RejectsSignedAndPaddedSeeds) {
+  for (const char* arg :
+       {"--seed=-1", "--seed= 5", "--seed=+5", "--seed=5 ",
+        "--seed=18446744073709551616", "--seed="}) {
+    SCOPED_TRACE(arg);
+    const auto argv = argv_of({"prog", arg});
+    EXPECT_FALSE(parse_figure_cli(2, argv.data()).error.empty());
+  }
+  const auto max_seed = argv_of({"prog", "--seed=18446744073709551615"});
+  const FigureCli cli = parse_figure_cli(2, max_seed.data());
+  EXPECT_TRUE(cli.error.empty());
+  EXPECT_EQ(cli.seed, 18446744073709551615ull);
+}
+
 TEST(SweepTest, SelectsQuickVariantOnlyWhenPresent) {
   const Sweep<int> with_quick{{1, 2, 3, 4}, {1, 4}};
   EXPECT_EQ(with_quick.values(false), (std::vector<int>{1, 2, 3, 4}));

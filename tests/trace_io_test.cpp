@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,6 +13,7 @@
 
 #include "stream/generators.hpp"
 #include "stream/webtrace.hpp"
+#include "util/rng.hpp"
 
 namespace unisamp {
 namespace {
@@ -168,6 +170,80 @@ TEST_F(TraceIoTest, TextRejectsSignsWhitespaceAndOverflow) {
     std::ofstream(p) << "1\n" << line << "\n";
     expect_rejected([&] { load_stream_text(p); }, "malformed id line");
   }
+}
+
+// Seeded mutation sweep over both formats: every truncation, bit flips and
+// lying header fields.  Each load must return or throw std::runtime_error —
+// never another exception type, and never UB (the sanitizer leg runs this
+// suite).  Binary mutants change ONE field at a time: a file may honestly
+// declare a 2^62-id run, so two coordinated lies can describe a valid but
+// huge trace, which is not what this sweep is about.
+TEST_F(TraceIoTest, MutatedFilesLoadOrThrowRuntimeError) {
+  const Stream original =
+      exact_stream(std::vector<std::uint64_t>{5, 1, 0, 3, 7, 2}, 3);
+  const auto clean_path = track(path("m_clean"));
+  const auto mutant_path = track(path("m_mutant"));
+  std::size_t loads = 0;
+  const auto load_mutant = [&](const std::string& bytes, bool binary) {
+    std::ofstream(mutant_path, std::ios::binary) << bytes;
+    ++loads;
+    try {
+      binary ? load_stream_binary(mutant_path)
+             : load_stream_text(mutant_path);
+    } catch (const std::runtime_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << (binary ? "binary" : "text") << " mutant "
+                    << loads << " threw a non-runtime_error: " << e.what();
+    }
+  };
+  const auto clean_bytes = [&](bool binary) {
+    binary ? save_stream_binary(original, clean_path)
+           : save_stream_text(original, clean_path);
+    std::ifstream in(clean_path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+
+  Xoshiro256 rng(20130624);
+  for (const bool binary : {false, true}) {
+    const std::string clean = clean_bytes(binary);
+    for (std::size_t len = 0; len < clean.size(); ++len)
+      load_mutant(clean.substr(0, len), binary);
+    // Binary: every single-bit flip.  Text: seeded 1-3 bit flips.
+    const std::size_t flips = binary ? clean.size() * 8 : 2000;
+    for (std::size_t f = 0; f < flips; ++f) {
+      std::string mutant = clean;
+      const std::size_t bits = binary ? 1 : 1 + rng.next_below(3);
+      for (std::size_t b = 0; b < bits; ++b) {
+        const std::size_t bit = binary ? f : rng.next_below(clean.size() * 8);
+        mutant[bit / 8] = static_cast<char>(mutant[bit / 8] ^ (1 << (bit % 8)));
+      }
+      load_mutant(mutant, binary);
+    }
+  }
+
+  // Lying header fields: the run count (offset 8) and the total (16).
+  const std::string clean = clean_bytes(true);
+  const std::uint64_t runs = (clean.size() - 24) / 16;
+  const std::uint64_t lies[] = {0,
+                                1,
+                                runs - 1,
+                                runs + 1,
+                                original.size() - 1,
+                                original.size() + 1,
+                                std::uint64_t{1} << 32,
+                                (std::uint64_t{1} << 60) + 1,
+                                std::uint64_t{1} << 62,
+                                std::uint64_t{1} << 63,
+                                ~std::uint64_t{0}};
+  for (const std::size_t offset : {8, 16}) {
+    for (const std::uint64_t lie : lies) {
+      std::string mutant = clean;
+      for (int i = 0; i < 8; ++i)
+        mutant[offset + i] = static_cast<char>(lie >> (8 * i));
+      load_mutant(mutant, true);
+    }
+  }
+  EXPECT_GT(loads, 2000u);
 }
 
 TEST_F(TraceIoTest, CalibratedTraceRoundTrip) {

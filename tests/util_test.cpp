@@ -8,6 +8,7 @@
 
 #include "util/csv.hpp"
 #include "util/flat_set.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -82,6 +83,23 @@ TEST(DeriveSeed, DistinctComponentsGetDistinctSeeds) {
   EXPECT_EQ(seeds.size(), 1000u);
   EXPECT_EQ(derive_seed(99, 5), derive_seed(99, 5));
   EXPECT_NE(derive_seed(99, 5), derive_seed(100, 5));
+}
+
+TEST(ParseU64, AcceptsDigitsOverTheFullRange) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("42"), 42u);
+  EXPECT_EQ(parse_u64("007"), 7u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615ull);
+}
+
+TEST(ParseU64, RejectsSignsWhitespaceJunkAndOverflow) {
+  for (const char* text :
+       {"", "-1", "-0", "+5", " 5", "5 ", "\t5", "5\n", "12abc", "abc",
+        "0x10", "1e3", "1.0", "18446744073709551616",
+        "99999999999999999999999"}) {
+    SCOPED_TRACE(text);
+    EXPECT_FALSE(parse_u64(text).has_value());
+  }
 }
 
 TEST(Csv, WritesQuotedCells) {

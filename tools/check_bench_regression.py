@@ -43,6 +43,7 @@ crafted fixtures.
 """
 
 import json
+import math
 import os
 import sys
 
@@ -100,7 +101,13 @@ def load(path):
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         bad_input(f"error: cannot read {path}: {e}")
-    return scenario_entries(doc, path)
+    if not isinstance(doc, dict):
+        bad_input(f"error: {path} is not a JSON object")
+    try:
+        return scenario_entries(doc, path)
+    except (KeyError, TypeError) as e:
+        bad_input(f"error: {path} has a malformed record "
+                  f"({type(e).__name__}: {e})")
 
 
 def main(argv):
@@ -112,7 +119,14 @@ def main(argv):
     timing_gate = True
     for opt in opts:
         if opt.startswith("--threshold="):
-            threshold = float(opt.split("=", 1)[1])
+            value = opt.split("=", 1)[1]
+            try:
+                threshold = float(value)
+            except ValueError:
+                threshold = math.nan
+            if not 0.0 <= threshold < math.inf:
+                bad_input(f"--threshold must be a finite number >= 0, "
+                          f"got {value!r}")
         elif opt.startswith("--timing="):
             mode = opt.split("=", 1)[1]
             if mode not in ("gate", "report"):

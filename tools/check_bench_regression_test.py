@@ -12,6 +12,8 @@ verdict lines for every path the CI jobs rely on:
   * baseline scenario missing from current  -> 1
   * empty current / baseline record set     -> 2
   * empty directory / unknown schema        -> 2
+  * malformed --threshold, negative threshold, non-object JSON, record
+    missing a required field                -> 2 (never a traceback's 1)
   * directory mode merging bench reports and figure sidecars -> 0
 
 Registered with ctest as `bench_regression_checker_test` (label unit) so a
@@ -153,6 +155,26 @@ def main():
         bogus = write(tmp, "bogus.json", {"schema": "not-a-schema"})
         code, out = run(base, bogus)
         check("unknown schema errors", 2, code, out, "unrecognized schema")
+
+        # Bad input exits 2 with a message, never 1 (which means
+        # "regression") through a Python traceback.
+        code, out = run(base, cur, "--threshold=abc")
+        check("malformed threshold errors", 2, code, out, "--threshold")
+        code, out = run(base, cur, "--threshold=-0.1")
+        check("negative threshold errors", 2, code, out, "--threshold")
+        array = write(tmp, "array.json", [bench_report([])])
+        code, out = run(base, array)
+        check("non-object document errors", 2, code, out, "not a JSON object")
+        for field in ("scenarios", "checksum", "ns_per_op"):
+            doc = bench_report([("sketch/update", 1000, 42, 100.0, 1.0)])
+            if field == "scenarios":
+                del doc["scenarios"]
+            else:
+                del doc["scenarios"][0][field]
+            lacking = write(tmp, f"lacks_{field}.json", doc)
+            code, out = run(base, lacking)
+            check(f"record missing {field} errors", 2, code, out,
+                  "malformed record", field)
 
         # Directory mode: bench reports and figure sidecars merge; figure
         # checksums compare under the same-work rule.

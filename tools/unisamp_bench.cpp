@@ -18,11 +18,11 @@
 // repetition pays for it and the timed repetitions measure only the hot
 // path under test.
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -39,6 +39,7 @@
 #include "sketch/count_min.hpp"
 #include "stream/generators.hpp"
 #include "util/parallel.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -91,35 +92,15 @@ Stream make_zipf_stream(std::uint64_t items, std::uint64_t seed) {
   return gen.take(items);
 }
 
-/// Positive-integer environment knob for the sharded-ingest scenario.
-/// Same policy as util/parallel.cpp's UNISAMP_THREADS parsing, so one env
-/// value cannot mean different counts in different layers: unset, zero,
-/// negative or non-numeric values take the default; values above `max`
-/// CLAMP to it.
-std::size_t env_size_t(const char* name, std::size_t fallback,
-                       std::size_t max) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  const char* p = value;
-  while (*p == ' ' || *p == '\t') ++p;
-  if (*p < '0' || *p > '9') return fallback;  // rejects '-': strtoull wraps
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(p, &end, 10);
-  if (end == p || *end != '\0' || parsed == 0) return fallback;
-  if (errno == ERANGE || parsed > max) return max;
-  return static_cast<std::size_t>(parsed);
-}
-
 /// Shard count S of service/sharded_ingest.  The scenario checksum depends
 /// on S (BENCH_baseline.json records the default, S=4).
-std::size_t env_shards() { return env_size_t("UNISAMP_SHARDS", 4, 256); }
+std::size_t env_shards() { return env_count("UNISAMP_SHARDS", 4, 256); }
 
 /// Producer count N of service/sharded_ingest.  MUST never move the
 /// checksum (sharded-service determinism contract); defaults to the 8
 /// producers the multicore baseline records.
 std::size_t env_producer_threads() {
-  return env_size_t("UNISAMP_THREADS", 8, 1024);
+  return env_count("UNISAMP_THREADS", 8, 1024);
 }
 
 void register_scenarios(bh::ScenarioRegistry& reg) {
@@ -379,18 +360,9 @@ void register_scenarios(bh::ScenarioRegistry& reg) {
 // error, not a silent 0 — a zero warmup quietly times memoised input
 // construction (see usage text).
 bool parse_int(const char* s, int& out) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 0 || v > 1'000'000) return false;
-  out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
+  const std::optional<std::uint64_t> v = parse_u64(s);
+  if (!v || *v > 1'000'000) return false;
+  out = static_cast<int>(*v);
   return true;
 }
 
@@ -442,7 +414,9 @@ int main(int argc, char** argv) {
     } else if (name == "--warmup") {
       if (!parse_int(value, opts.warmup)) return bad_value(argv[i]);
     } else if (name == "--seed") {
-      if (!parse_u64(value, opts.seed)) return bad_value(argv[i]);
+      const std::optional<std::uint64_t> seed = parse_u64(value);
+      if (!seed) return bad_value(argv[i]);
+      opts.seed = *seed;
     } else if (name == "--out") {
       out_path = value;
     } else {

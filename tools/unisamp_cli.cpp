@@ -9,9 +9,14 @@
 //   unisamp_cli stats <trace>
 //
 // Traces are one-id-per-line text files ('#' comments allowed).
+// Exit status: 0 = success, 1 = runtime failure (e.g. an unreadable or
+// malformed trace), 2 = usage error (unknown command or option value,
+// malformed number, gen-attack without 1 <= n <= m).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,6 +29,7 @@
 #include "stream/histogram.hpp"
 #include "stream/trace_io.hpp"
 #include "stream/webtrace.hpp"
+#include "util/parse.hpp"
 
 namespace {
 using namespace unisamp;
@@ -46,8 +52,16 @@ int usage() {
   return 2;
 }
 
-std::uint64_t parse_u64(const char* s) {
-  return std::strtoull(s, nullptr, 10);
+/// A bad command line: main prints the message and the usage, exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Strict unsigned integer argument (util/parse.hpp); UsageError otherwise.
+std::uint64_t arg_u64(const char* s) {
+  const std::optional<std::uint64_t> v = parse_u64(s);
+  if (!v) throw UsageError(std::string("malformed number: '") + s + "'");
+  return *v;
 }
 
 bool flag_value(int argc, char** argv, const char* name, std::string& out) {
@@ -64,9 +78,9 @@ bool flag_value(int argc, char** argv, const char* name, std::string& out) {
 int cmd_gen_trace(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string which = argv[0];
-  const std::uint64_t scale = parse_u64(argv[1]);
+  const std::uint64_t scale = arg_u64(argv[1]);
   const std::string out = argv[2];
-  const std::uint64_t seed = argc > 3 ? parse_u64(argv[3]) : 1;
+  const std::uint64_t seed = argc > 3 ? arg_u64(argv[3]) : 1;
   const WebTraceSpec* spec = nullptr;
   if (which == "nasa") spec = &nasa_trace_spec();
   else if (which == "clarknet") spec = &clarknet_trace_spec();
@@ -86,10 +100,11 @@ int cmd_gen_trace(int argc, char** argv) {
 int cmd_gen_attack(int argc, char** argv) {
   if (argc < 4) return usage();
   const std::string kind = argv[0];
-  const std::size_t n = parse_u64(argv[1]);
-  const std::uint64_t m = parse_u64(argv[2]);
+  const std::size_t n = arg_u64(argv[1]);
+  const std::uint64_t m = arg_u64(argv[2]);
   const std::string out = argv[3];
-  const std::uint64_t seed = argc > 4 ? parse_u64(argv[4]) : 1;
+  const std::uint64_t seed = argc > 4 ? arg_u64(argv[4]) : 1;
+  if (n == 0 || m < n) throw UsageError("gen-attack needs 1 <= n <= m");
   Stream stream;
   if (kind == "peak") {
     const std::uint64_t base = m / (2 * n) ? m / (2 * n) : 1;
@@ -109,17 +124,19 @@ int cmd_gen_attack(int argc, char** argv) {
 
 int cmd_run(int argc, char** argv) {
   if (argc < 2) return usage();
-  const Stream input = load_stream_text(argv[0]);
   const std::string out_path = argv[1];
   std::string v;
   ServiceConfig cfg;
   cfg.strategy = Strategy::kKnowledgeFree;
-  if (flag_value(argc, argv, "strategy", v) && v == "omniscient")
-    cfg.strategy = Strategy::kOmniscient;
-  cfg.memory_size = flag_value(argc, argv, "c", v) ? parse_u64(v.c_str()) : 10;
-  cfg.sketch_width = flag_value(argc, argv, "k", v) ? parse_u64(v.c_str()) : 10;
-  cfg.sketch_depth = flag_value(argc, argv, "s", v) ? parse_u64(v.c_str()) : 5;
-  cfg.seed = flag_value(argc, argv, "seed", v) ? parse_u64(v.c_str()) : 1;
+  if (flag_value(argc, argv, "strategy", v)) {
+    if (v == "omniscient") cfg.strategy = Strategy::kOmniscient;
+    else if (v != "kf") throw UsageError("unknown --strategy: " + v);
+  }
+  cfg.memory_size = flag_value(argc, argv, "c", v) ? arg_u64(v.c_str()) : 10;
+  cfg.sketch_width = flag_value(argc, argv, "k", v) ? arg_u64(v.c_str()) : 10;
+  cfg.sketch_depth = flag_value(argc, argv, "s", v) ? arg_u64(v.c_str()) : 5;
+  cfg.seed = flag_value(argc, argv, "seed", v) ? arg_u64(v.c_str()) : 1;
+  const Stream input = load_stream_text(argv[0]);
 
   if (cfg.strategy == Strategy::kOmniscient) {
     FrequencyHistogram h;
@@ -158,8 +175,8 @@ int cmd_run(int argc, char** argv) {
 
 int cmd_kl(int argc, char** argv) {
   if (argc < 1) return usage();
+  std::uint64_t n = argc > 1 ? arg_u64(argv[1]) : 0;
   const Stream trace = load_stream_text(argv[0]);
-  std::uint64_t n = argc > 1 ? parse_u64(argv[1]) : 0;
   if (n == 0) {
     FrequencyHistogram h;
     h.add_stream(trace);
@@ -173,8 +190,8 @@ int cmd_kl(int argc, char** argv) {
 
 int cmd_effort(int argc, char** argv) {
   if (argc < 3) return usage();
-  const std::uint64_t k = parse_u64(argv[0]);
-  const std::uint64_t s = parse_u64(argv[1]);
+  const std::uint64_t k = arg_u64(argv[0]);
+  const std::uint64_t s = arg_u64(argv[1]);
   const double eta = std::strtod(argv[2], nullptr);
   std::printf("k=%llu s=%llu eta=%g:\n", static_cast<unsigned long long>(k),
               static_cast<unsigned long long>(s), eta);
@@ -188,12 +205,12 @@ int cmd_effort(int argc, char** argv) {
 
 int cmd_detect(int argc, char** argv) {
   if (argc < 1) return usage();
-  const Stream trace = load_stream_text(argv[0]);
   std::string v;
   DetectorConfig cfg;
-  cfg.window = flag_value(argc, argv, "window", v) ? parse_u64(v.c_str())
+  cfg.window = flag_value(argc, argv, "window", v) ? arg_u64(v.c_str())
                                                    : 10000;
   cfg.heavy_capacity = 256;
+  const Stream trace = load_stream_text(argv[0]);
   AttackDetector detector(cfg);
   for (NodeId id : trace) detector.observe(id);
   for (const auto& r : detector.history()) {
@@ -235,6 +252,9 @@ int main(int argc, char** argv) {
     if (cmd == "effort") return cmd_effort(argc - 2, argv + 2);
     if (cmd == "detect") return cmd_detect(argc - 2, argv + 2);
     if (cmd == "stats") return cmd_stats(argc - 2, argv + 2);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
