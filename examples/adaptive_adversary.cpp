@@ -10,17 +10,18 @@
 // builds one four-phase campaign, runs it, and annotates the pollution
 // timeline the engine measures.
 #include <cstdio>
-#include <cstdlib>
 
 #include "scenario/engine.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace unisamp;
   using namespace unisamp::scenario;
 
+  // A malformed argument reads as 0 and gets the usage message.
   const std::size_t phase_rounds =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20;
+      argc > 1 ? parse_u64(argv[1]).value_or(0) : 20;
   if (phase_rounds == 0) {
     std::fprintf(stderr, "usage: %s [rounds_per_phase >= 1]\n", argv[0]);
     return 1;

@@ -10,17 +10,18 @@
 // these numbers are independent of the system size n — adding sampler
 // memory makes subversion arbitrarily expensive.
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/urn.hpp"
 #include "sketch/count_min.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace unisamp;
 
-  const std::uint64_t k = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 50;
-  const std::uint64_t s = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 10;
+  // A malformed argument reads as 0 and gets the usage message.
+  const std::uint64_t k = argc > 1 ? parse_u64(argv[1]).value_or(0) : 50;
+  const std::uint64_t s = argc > 2 ? parse_u64(argv[2]).value_or(0) : 10;
   if (k == 0 || s == 0) {
     std::fprintf(stderr, "usage: %s [k >= 1] [s >= 1]\n", argv[0]);
     return 1;

@@ -65,7 +65,7 @@ std::vector<std::uint64_t> targeted_attack_efforts(
     std::uint64_t k, std::uint64_t s, std::span<const double> etas) {
   if (s == 0) throw std::invalid_argument("s must be positive");
   for (double e : etas)
-    if (e <= 0.0 || e >= 1.0)
+    if (!(e > 0.0 && e < 1.0))  // NaN fails too
       throw std::invalid_argument("eta_t must be in (0, 1)");
   if (k == 0) throw std::invalid_argument("need at least one urn");
   // L_{k,s} = inf{ l >= 2 : (P{N_l = N_{l-1}})^s > 1 - eta_T } with
@@ -100,7 +100,7 @@ std::uint64_t flooding_attack_effort(std::uint64_t k, double eta_f) {
 std::vector<std::uint64_t> flooding_attack_efforts(
     std::uint64_t k, std::span<const double> etas) {
   for (double e : etas)
-    if (e <= 0.0 || e >= 1.0)
+    if (!(e > 0.0 && e < 1.0))  // NaN fails too
       throw std::invalid_argument("eta_f must be in (0, 1)");
   std::vector<std::uint64_t> out(etas.size(), 0);
   if (k == 1) {  // single urn is filled by the first ball

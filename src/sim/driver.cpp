@@ -48,10 +48,17 @@ void SimDriver::dispatch(const Event& event) {
         });
       }
       return;
-    case EventKind::kMessage:
-      note_outcome(
-          net_.accept_delivery(event.to, event.payload, timing_.inbox_capacity));
+    case EventKind::kMessage: {
+      const DeliveryOutcome outcome =
+          net_.accept_delivery(event.to, event.payload, timing_.inbox_capacity);
+      // An inbox only grows between flushes, so its depth after each
+      // delivery reaches the same peak as reading every inbox at a flush.
+      if (outcome == DeliveryOutcome::kDelivered)
+        stats_.peak_inbox_backlog = std::max<std::uint64_t>(
+            stats_.peak_inbox_backlog, net_.inbox_depth(event.to));
+      note_outcome(outcome);
       return;
+    }
     case EventKind::kTickFlush:
       return;  // consumed by run_ticks' drain loop
   }
@@ -72,11 +79,6 @@ void SimDriver::run_ticks(std::size_t ticks) {
       const Event event = queue_.pop();
       ++stats_.events_processed;
       if (event.kind == EventKind::kTickFlush) {
-        if (!rounds_mode) {
-          for (std::size_t n = 0; n < net_.size(); ++n)
-            stats_.peak_inbox_backlog = std::max<std::uint64_t>(
-                stats_.peak_inbox_backlog, net_.inbox_depth(n));
-        }
         net_.flush_tick(rounds_mode ? 0 : timing_.bandwidth_per_tick);
         break;
       }

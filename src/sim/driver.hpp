@@ -24,7 +24,7 @@
 // observationally identical (a node never delivers to itself, so eager
 // knowledge updates commute with the rest of its own send loop, and
 // per-receiver order is preserved) and keeps the gossip/round hot path at
-// O(1) heap operations per node per tick instead of per id; the
+// O(1) queue operations per node per tick instead of per id; the
 // equivalence is pinned by event_engine_test.cpp, which also checks that
 // zero-latency EVENT mode — where every id does traverse the queue —
 // matches rounds mode bit-for-bit.

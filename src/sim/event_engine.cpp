@@ -1,35 +1,92 @@
 #include "sim/event_engine.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 
 namespace unisamp {
 
-bool EventQueue::later(const Event& a, const Event& b) {
+bool EventQueue::later(const Record& a, const Record& b) {
   // Min-heap via std::*_heap's max-heap primitive: `a` sorts AFTER `b`.
   if (a.time != b.time) return a.time > b.time;
-  if (a.kind != b.kind) return a.kind > b.kind;
-  return a.seq > b.seq;
+  return a.key > b.key;
 }
 
-std::uint64_t EventQueue::push(SimTime time, EventKind kind,
-                               std::uint32_t from, std::uint32_t to,
-                               NodeId payload) {
-  const std::uint64_t seq = next_seq_++;
-  heap_.push_back(Event{time, seq, payload, from, to, kind});
-  std::push_heap(heap_.begin(), heap_.end(), later);
-  if (kind == EventKind::kMessage) ++in_flight_;
-  peak_ = std::max(peak_, heap_.size());
-  return seq;
+void EventQueue::throw_seq_limit() {
+  throw std::length_error("EventQueue: 2^61 pushes, seq would overflow");
+}
+
+void EventQueue::push_heap(std::vector<Record>& heap, const Record& rec) {
+  heap.push_back(rec);
+  std::push_heap(heap.begin(), heap.end(), later);
 }
 
 Event EventQueue::pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), later);
-  const Event event = heap_.back();
-  heap_.pop_back();
-  if (event.kind == EventKind::kMessage) --in_flight_;
-  return event;
+  if (near_.empty()) advance();
+  std::pop_heap(near_.begin(), near_.end(), later);
+  const Record rec = near_.back();
+  near_.pop_back();
+  --size_;
+  const auto kind = static_cast<EventKind>(rec.key >> kSeqBits);
+  if (kind == EventKind::kMessage) --in_flight_;
+  const std::uint64_t seq = rec.key & (kSeqLimit - 1);
+  return Event{rec.time, seq, rec.payload, rec.from, rec.to, kind};
+}
+
+void EventQueue::add_chunk(Slot& slot) {
+  Chunk* chunk = free_;
+  if (chunk != nullptr) {
+    free_ = chunk->next;
+  } else {
+    chunks_.push_back(std::unique_ptr<Chunk>(new Chunk));  // uninitialised
+    chunk = chunks_.back().get();
+  }
+  chunk->next = nullptr;
+  (slot.tail != nullptr ? slot.tail->next : slot.head) = chunk;
+  slot.tail = chunk;
+  slot.tail_fill = 0;
+}
+
+void EventQueue::drain(Slot& slot) {
+  const std::size_t before = near_.size();
+  for (Chunk* chunk = slot.head; chunk != nullptr;) {
+    const std::size_t n =
+        chunk == slot.tail ? slot.tail_fill : Chunk::kRecords;
+    near_.insert(near_.end(), chunk->records, chunk->records + n);
+    Chunk* next = chunk->next;
+    chunk->next = free_;
+    free_ = chunk;
+    chunk = next;
+  }
+  ring_size_ -= near_.size() - before;
+  slot = Slot{};
+}
+
+void EventQueue::advance() {
+  // Precondition: near_ is empty and the queue is not.  Step the current
+  // bucket forward until it holds something; every ring and overflow event
+  // lies in a later bucket than current_, so the first nonempty bucket
+  // holds the least events of the queue.
+  while (near_.empty()) {
+    if (ring_size_ == 0)  // only the overflow heap: jump to its bucket
+      current_ = bucket(far_.front().time) - 1;
+    ++current_;
+    drain(ring_[current_ % kSlots]);
+    // The horizon moved: admit overflow events that now fit the ring.
+    while (!far_.empty() && bucket(far_.front().time) - current_ <= kSlots) {
+      std::pop_heap(far_.begin(), far_.end(), later);
+      const Record rec = far_.back();
+      far_.pop_back();
+      if (bucket(rec.time) == current_) {
+        near_.push_back(rec);
+      } else {
+        append(ring_[bucket(rec.time) % kSlots], rec);
+        ++ring_size_;
+      }
+    }
+  }
+  std::make_heap(near_.begin(), near_.end(), later);
 }
 
 SimTime LinkLatencyModel::transit(std::uint32_t from, std::uint32_t to) const {

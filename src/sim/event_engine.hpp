@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "stream/types.hpp"
@@ -66,23 +67,61 @@ struct Event {
 };
 
 /// Min-priority queue of Events with deterministic (time, kind, seq)
-/// ordering.  Contracts:
+/// ordering: a monotone calendar queue (after Brown, "Calendar queues",
+/// CACM 1988) over fixed-width time buckets.  Contracts:
 ///  - Determinism: the pop sequence is a pure function of the push
-///    sequence; `seq` is assigned internally in push order.
-///  - Complexity: O(log n) push/pop on a binary heap, O(1) top/empty.
-///  - Thread-safety: none.
+///    sequence; `seq` is assigned internally in push order.  Pushes may
+///    come in any time order, the past included: every pop returns the
+///    least queued event under (time, kind, seq), exactly as a binary heap
+///    over all queued events would.
+///  - Complexity: time is cut into buckets of 2^14 units (~1/61 round).
+///    Events in the current or an earlier bucket sit in a small binary
+///    heap: O(log m) push/pop, m = that heap's size.  Events in the next
+///    256 buckets (~4.2 rounds) are appended unsorted to ring slots in O(1)
+///    and heapified all at once, O(1) amortised per event, when pop() finds
+///    the small heap empty and advances to their bucket.  Events beyond
+///    that horizon (e.g. churn scheduled many ticks ahead) wait in an
+///    overflow heap, O(log f) each.  An advance scans at most 256 slots;
+///    when only the overflow heap holds events it jumps straight to them.
+///  - Memory: ring slots store 32-byte packed records in 4 KiB chunks,
+///    recycled through a free list, so capacity stays at the peak number
+///    of events in flight and is freed with the queue.
+///  - Limit: at most 2^61 pushes per queue (`seq` shares a word with the
+///    kind); the push that would reach 2^61 throws std::length_error.
+///  - Thread-safety: none.  Not copyable or movable: ring slots point
+///    into chunks the queue owns.
 class EventQueue {
  public:
-  /// Schedules an event; returns its assigned sequence number.
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
+  /// Schedules an event; returns its assigned sequence number.  Inline:
+  /// event mode pushes one event per id sent.
   std::uint64_t push(SimTime time, EventKind kind, std::uint32_t from,
-                     std::uint32_t to, NodeId payload);
+                     std::uint32_t to, NodeId payload) {
+    if (next_seq_ == kSeqLimit) [[unlikely]]
+      throw_seq_limit();
+    const std::uint64_t seq = next_seq_++;
+    const Record rec{time, static_cast<std::uint64_t>(kind) << kSeqBits | seq,
+                     payload, from, to};
+    const std::uint64_t b = bucket(time);
+    if (b - current_ - 1 < kSlots) {  // current_ < b <= current_ + kSlots
+      append(ring_[b % kSlots], rec);
+      ++ring_size_;
+    } else {
+      push_heap(b <= current_ ? near_ : far_, rec);
+    }
+    if (kind == EventKind::kMessage) ++in_flight_;
+    if (++size_ > peak_) peak_ = size_;
+    return seq;
+  }
 
   /// Removes and returns the earliest event.  Precondition: !empty().
   Event pop();
 
-  const Event& top() const { return heap_.front(); }
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
 
   /// kMessage events currently queued — the in-flight id count, the term
   /// that closes the drop-accounting conservation law mid-run.
@@ -90,9 +129,62 @@ class EventQueue {
   std::size_t peak_size() const { return peak_; }
 
  private:
-  static bool later(const Event& a, const Event& b);
+  friend struct EventQueueTestPeer;  // forces next_seq_ to the limit
 
-  std::vector<Event> heap_;
+  /// An Event packed into 32 bytes.  `key` = kind << 61 | seq, so
+  /// (time, key) orders exactly as (time, kind, seq).
+  struct Record {
+    SimTime time;
+    std::uint64_t key;
+    NodeId payload;
+    std::uint32_t from;
+    std::uint32_t to;
+  };
+  /// 4 KiB of Records plus the link to the next chunk of the same slot.
+  struct Chunk {
+    static constexpr std::size_t kRecords = 127;
+    Record records[kRecords];
+    Chunk* next;
+  };
+  /// One bucket's unsorted events: a singly linked list of chunks.  An
+  /// empty slot reads as one whose tail chunk is full.
+  struct Slot {
+    Chunk* head = nullptr;
+    Chunk* tail = nullptr;
+    std::size_t tail_fill = Chunk::kRecords;
+  };
+
+  static constexpr unsigned kSeqBits = 61;
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << kSeqBits;
+  static constexpr unsigned kBucketShift = 14;
+  static constexpr std::size_t kSlots = 256;
+
+  static bool later(const Record& a, const Record& b);
+  static std::uint64_t bucket(SimTime time) { return time >> kBucketShift; }
+  [[noreturn]] static void throw_seq_limit();
+  static void push_heap(std::vector<Record>& heap, const Record& rec);
+
+  void append(Slot& slot, const Record& rec) {
+    if (slot.tail_fill == Chunk::kRecords) [[unlikely]]
+      add_chunk(slot);
+    slot.tail->records[slot.tail_fill++] = rec;
+    // Warm the line two records ahead: slots are written round-robin, so
+    // it is needed long after this and would otherwise miss on the write.
+    if (slot.tail_fill + 2 < Chunk::kRecords)
+      __builtin_prefetch(&slot.tail->records[slot.tail_fill + 2], 1);
+  }
+  void add_chunk(Slot& slot);
+  void drain(Slot& slot);
+  void advance();
+
+  std::vector<Record> near_;  ///< heap: buckets <= current_
+  Slot ring_[kSlots];         ///< bucket b in (current_, current_ + kSlots]
+  std::vector<Record> far_;   ///< heap: buckets beyond the ring
+  std::vector<std::unique_ptr<Chunk>> chunks_;  ///< owns every chunk
+  Chunk* free_ = nullptr;     ///< recycled chunks
+  std::uint64_t current_ = 0;
+  std::size_t ring_size_ = 0;
+  std::size_t size_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t in_flight_ = 0;
   std::size_t peak_ = 0;

@@ -38,7 +38,7 @@ void GossipNetwork::remember(NodeState& state, NodeId id) {
     state.knowledge.push_back(id);
   } else if (!state.knowledge.empty()) {
     state.knowledge[state.next_slot] = id;
-    state.next_slot = (state.next_slot + 1) % state.knowledge.size();
+    if (++state.next_slot == state.knowledge.size()) state.next_slot = 0;
   }
 }
 

@@ -1,0 +1,313 @@
+// EventQueue (sim/event_engine) against the binary-heap oracle
+// (support/heap_event_queue.hpp): seeded randomized operation sequences are
+// run on both queues, and after every push and pop the two must agree —
+// each popped Event field by field, the assigned seq, size, empty,
+// peak_size and in_flight_messages.  The sequences aim at the bucketed
+// queue's seams: pushes in scrambled time order before the first pop,
+// sim-like bimodal-latency traffic, zero-latency pushes at the instant
+// being drained with a lower kind than the event just popped, pushes past
+// the ring horizon, equal keys, and draining to empty then refilling
+// (into the past as well as the future).
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+
+#include "sim/event_engine.hpp"
+#include "support/heap_event_queue.hpp"
+#include "util/rng.hpp"
+
+namespace unisamp {
+
+/// Reads EventQueue's private geometry and forces its seq counter.
+struct EventQueueTestPeer {
+  static constexpr SimTime kBucketWidth = SimTime{1}
+                                          << EventQueue::kBucketShift;
+  static constexpr SimTime kHorizon = kBucketWidth * EventQueue::kSlots;
+  static constexpr std::uint64_t kSeqLimit = EventQueue::kSeqLimit;
+  static void set_next_seq(EventQueue& q, std::uint64_t seq) {
+    q.next_seq_ = seq;
+  }
+};
+
+namespace {
+
+using Peer = EventQueueTestPeer;
+
+constexpr EventKind kKinds[] = {EventKind::kTickFlush, EventKind::kChurn,
+                                EventKind::kTickBegin, EventKind::kMessage,
+                                EventKind::kNodeSend};
+
+/// Both queues, driven in lockstep.
+class Lockstep {
+ public:
+  testing::AssertionResult push(SimTime time, EventKind kind,
+                                std::uint32_t from, std::uint32_t to,
+                                NodeId payload) {
+    const std::uint64_t got = queue_.push(time, kind, from, to, payload);
+    const std::uint64_t want = oracle_.push(time, kind, from, to, payload);
+    if (got != want)
+      return testing::AssertionFailure()
+             << "push #" << ops_ << ": seq " << got << " != " << want;
+    return agree("push");
+  }
+
+  testing::AssertionResult pop() {
+    if (queue_.empty() || oracle_.empty())
+      return testing::AssertionFailure() << "pop #" << ops_ << " on empty";
+    const Event got = queue_.pop();
+    const Event want = oracle_.pop();
+    last_ = want;
+    if (got.time != want.time || got.seq != want.seq ||
+        got.payload != want.payload || got.from != want.from ||
+        got.to != want.to || got.kind != want.kind)
+      return testing::AssertionFailure()
+             << "pop #" << ops_ << ": got (time " << got.time << ", kind "
+             << int(got.kind) << ", seq " << got.seq << ", payload "
+             << got.payload << ", from " << got.from << ", to " << got.to
+             << ") want (time " << want.time << ", kind " << int(want.kind)
+             << ", seq " << want.seq << ", payload " << want.payload
+             << ", from " << want.from << ", to " << want.to << ")";
+    return agree("pop");
+  }
+
+  testing::AssertionResult drain() {
+    while (!oracle_.empty()) {
+      const testing::AssertionResult r = pop();
+      if (!r) return r;
+    }
+    return agree("drain");
+  }
+
+  bool empty() const { return oracle_.empty(); }
+  std::size_t size() const { return oracle_.size(); }
+  const Event& last() const { return last_; }
+
+ private:
+  testing::AssertionResult agree(const char* op) {
+    ++ops_;
+    if (queue_.size() != oracle_.size() || queue_.empty() != oracle_.empty() ||
+        queue_.peak_size() != oracle_.peak_size() ||
+        queue_.in_flight_messages() != oracle_.in_flight_messages())
+      return testing::AssertionFailure()
+             << op << " #" << ops_ << ": size " << queue_.size() << "/"
+             << oracle_.size() << ", peak " << queue_.peak_size() << "/"
+             << oracle_.peak_size() << ", in flight "
+             << queue_.in_flight_messages() << "/"
+             << oracle_.in_flight_messages();
+    return testing::AssertionSuccess();
+  }
+
+  EventQueue queue_;
+  HeapEventQueue oracle_;
+  Event last_;
+  std::uint64_t ops_ = 0;
+};
+
+EventKind random_kind(Xoshiro256& rng) { return kKinds[rng.next_below(5)]; }
+
+/// A random push with a random payload and endpoints.
+testing::AssertionResult push_random(Lockstep& q, Xoshiro256& rng,
+                                     SimTime time) {
+  return q.push(time, random_kind(rng),
+                static_cast<std::uint32_t>(rng.next_below(1000)),
+                static_cast<std::uint32_t>(rng.next_below(1000)), rng());
+}
+
+TEST(EventQueueDifferential, ScrambledPushesBeforeTheFirstPop) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Xoshiro256 rng(seed);
+    Lockstep q;
+    // Times spread over 3 ring horizons, so the first pop sees the small
+    // heap, ring slots and the overflow heap all populated.
+    for (int i = 0; i < 4000; ++i)
+      ASSERT_TRUE(push_random(q, rng, rng.next_below(3 * Peer::kHorizon)))
+          << "seed " << seed;
+    ASSERT_TRUE(q.drain()) << "seed " << seed;
+  }
+}
+
+TEST(EventQueueDifferential, SimLikeBimodalLatencyTraffic) {
+  LinkLatencyModel latency;
+  latency.kind = LinkLatencyModel::Kind::kBimodal;
+  latency.base = kTicksPerRound / 4;
+  latency.spread = kTicksPerRound / 2;
+  latency.far_fraction = 0.15;
+  latency.far_extra = 2 * kTicksPerRound;
+  constexpr std::uint32_t kNodes = 120;
+  constexpr std::uint32_t kFanout = 3;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    latency.seed = seed;
+    Xoshiro256 rng(seed);
+    Lockstep q;
+    // Churn far beyond the ring horizon, as SimDriver schedules it.
+    for (int i = 0; i < 20; ++i)
+      ASSERT_TRUE(q.push(rng.next_below(1000) * kTicksPerRound,
+                         EventKind::kChurn,
+                         static_cast<std::uint32_t>(rng.next_below(kNodes)), 0,
+                         rng.next_below(2)));
+    for (std::uint64_t tick = 0; tick < 25; ++tick) {
+      // SimDriver::run_ticks' schedule for one tick.
+      const SimTime now = tick * kTicksPerRound;
+      ASSERT_TRUE(q.push(now, EventKind::kTickBegin, 0, 0, 0));
+      for (std::uint32_t n = 0; n < kNodes; ++n)
+        ASSERT_TRUE(q.push(now, EventKind::kNodeSend, n, 0, 0));
+      ASSERT_TRUE(q.push(now + kTicksPerRound, EventKind::kTickFlush, 0, 0, 0));
+      for (;;) {
+        ASSERT_TRUE(q.pop()) << "seed " << seed << " tick " << tick;
+        const Event event = q.last();
+        if (event.kind == EventKind::kTickFlush) break;
+        if (event.kind != EventKind::kNodeSend) continue;
+        for (std::uint32_t k = 0; k < kFanout; ++k) {
+          const auto to = static_cast<std::uint32_t>(rng.next_below(kNodes));
+          ASSERT_TRUE(q.push(event.time + latency.transit(event.from, to),
+                             EventKind::kMessage, event.from, to, rng()));
+        }
+      }
+    }
+    ASSERT_TRUE(q.drain());
+  }
+}
+
+TEST(EventQueueDifferential, ZeroLatencyPushesAtTheInstantBeingDrained) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Xoshiro256 rng(seed);
+    Lockstep q;
+    for (int i = 0; i < 50; ++i)
+      ASSERT_TRUE(q.push(rng.next_below(4) * Peer::kBucketWidth,
+                         EventKind::kNodeSend, 0, 0, i));
+    for (int step = 0; step < 3000 && !q.empty(); ++step) {
+      ASSERT_TRUE(q.pop()) << "seed " << seed;
+      const Event popped = q.last();
+      // At the popped instant: a lower kind than the one just popped (it
+      // must pop next), the same kind, and a later instant in the bucket.
+      const std::uint8_t rank = static_cast<std::uint8_t>(popped.kind);
+      const EventKind lower =
+          rank == 0 ? EventKind::kTickFlush
+                    : static_cast<EventKind>(rng.next_below(rank));
+      if (step < 2000) {
+        ASSERT_TRUE(q.push(popped.time, lower, 1, 2, step));
+        ASSERT_TRUE(q.push(popped.time, popped.kind, 3, 4, step));
+        ASSERT_TRUE(push_random(
+            q, rng, popped.time + rng.next_below(Peer::kBucketWidth)));
+      }
+    }
+    ASSERT_TRUE(q.drain());
+  }
+}
+
+TEST(EventQueueDifferential, PushesPastTheRingHorizon) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Xoshiro256 rng(seed);
+    Lockstep q;
+    SimTime now = 0;
+    for (int round = 0; round < 40; ++round) {
+      // Straddle the horizon edge, land far beyond it, and once in a while
+      // leave only overflow events so pop() must jump.
+      for (int i = 0; i < 30; ++i) {
+        const SimTime edge = now + Peer::kHorizon;
+        const SimTime offsets[] = {
+            edge - rng.next_below(2 * Peer::kBucketWidth),
+            edge + rng.next_below(2 * Peer::kBucketWidth),
+            now + (2 + rng.next_below(50)) * Peer::kHorizon,
+            now + rng.next_below(Peer::kHorizon)};
+        ASSERT_TRUE(push_random(q, rng, offsets[rng.next_below(4)]));
+      }
+      const std::size_t pops =
+          round % 5 == 4 ? q.size() : rng.next_below(q.size() + 1);
+      for (std::size_t i = 0; i < pops; ++i) {
+        ASSERT_TRUE(q.pop());
+      }
+      if (!q.empty() || pops > 0) now = q.last().time;
+    }
+    ASSERT_TRUE(q.drain());
+  }
+}
+
+TEST(EventQueueDifferential, EqualKeysPopInPushOrder) {
+  Xoshiro256 rng(5);
+  Lockstep q;
+  // Many events on a few (time, kind) keys, each key spread over the
+  // small heap, a ring slot and the overflow heap as the queue advances.
+  const SimTime times[] = {0, Peer::kBucketWidth - 1, 3 * Peer::kBucketWidth,
+                           2 * Peer::kHorizon};
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(q.push(times[rng.next_below(4)],
+                       rng.next_below(2) ? EventKind::kMessage
+                                         : EventKind::kNodeSend,
+                       0, 0, i));
+    if (rng.next_below(4) == 0) {
+      ASSERT_TRUE(q.pop());
+    }
+  }
+  ASSERT_TRUE(q.drain());
+}
+
+TEST(EventQueueDifferential, DrainToEmptyThenRefill) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Xoshiro256 rng(seed);
+    Lockstep q;
+    SimTime now = 0;
+    for (int cycle = 0; cycle < 30; ++cycle) {
+      // Refill around the last drained instant: into the past, the
+      // current bucket, the ring and beyond the horizon.
+      const int n = 1 + static_cast<int>(rng.next_below(300));
+      for (int i = 0; i < n; ++i) {
+        const SimTime back =
+            rng.next_below(std::min(now, 2 * Peer::kHorizon) + 1);
+        const SimTime offsets[] = {now - back,
+                                   now + rng.next_below(Peer::kBucketWidth),
+                                   now + rng.next_below(Peer::kHorizon),
+                                   now + rng.next_below(8 * Peer::kHorizon)};
+        ASSERT_TRUE(push_random(q, rng, offsets[rng.next_below(4)]));
+      }
+      ASSERT_TRUE(q.drain()) << "seed " << seed << " cycle " << cycle;
+      ASSERT_TRUE(q.empty());
+      now = q.last().time;
+    }
+  }
+}
+
+TEST(EventQueueDifferential, RandomOperationMix) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Xoshiro256 rng(seed);
+    Lockstep q;
+    SimTime now = 0;
+    for (int op = 0; op < 5000; ++op) {
+      if (!q.empty() && rng.next_below(2) == 0) {
+        ASSERT_TRUE(q.pop()) << "seed " << seed;
+        now = q.last().time;
+        continue;
+      }
+      const SimTime offsets[] = {now, now + rng.next_below(Peer::kBucketWidth),
+                                 now + rng.next_below(2 * Peer::kHorizon),
+                                 now + rng.next_below(100 * Peer::kHorizon),
+                                 now - rng.next_below(now + 1)};
+      ASSERT_TRUE(push_random(q, rng, offsets[rng.next_below(5)]))
+          << "seed " << seed;
+    }
+    ASSERT_TRUE(q.drain());
+  }
+}
+
+TEST(EventQueueLimit, PushThrowsLengthErrorAtTheSeqLimit) {
+  EventQueue q;
+  Peer::set_next_seq(q, Peer::kSeqLimit - 1);
+  // The last admissible seq round-trips intact next to the largest kind.
+  EXPECT_EQ(q.push(7, EventKind::kNodeSend, 1, 2, 3), Peer::kSeqLimit - 1);
+  EXPECT_THROW(q.push(7, EventKind::kMessage, 1, 2, 4), std::length_error);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.in_flight_messages(), 0u);
+  const Event event = q.pop();
+  EXPECT_EQ(event.seq, Peer::kSeqLimit - 1);
+  EXPECT_EQ(event.kind, EventKind::kNodeSend);
+  EXPECT_EQ(event.time, 7u);
+  EXPECT_EQ(event.payload, 3u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_THROW(q.push(8, EventKind::kTickFlush, 0, 0, 0), std::length_error);
+  EXPECT_TRUE(q.empty());
+}
+
+}  // namespace
+}  // namespace unisamp

@@ -278,5 +278,16 @@ TEST(EffortFunctions, RejectBadParameters) {
   EXPECT_THROW(OccupancyDistribution(0), std::invalid_argument);
 }
 
+TEST(EffortFunctions, RejectNanEta) {
+  // NaN fails every comparison, so a `e <= 0 || e >= 1` guard let it
+  // through to a search that never converges.
+  const double nan = std::nan("");
+  EXPECT_THROW(targeted_attack_effort(10, 5, nan), std::invalid_argument);
+  EXPECT_THROW(flooding_attack_effort(10, nan), std::invalid_argument);
+  const double etas[] = {0.5, nan};
+  EXPECT_THROW(targeted_attack_efforts(10, 5, etas), std::invalid_argument);
+  EXPECT_THROW(flooding_attack_efforts(10, etas), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace unisamp

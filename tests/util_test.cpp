@@ -102,6 +102,25 @@ TEST(ParseU64, RejectsSignsWhitespaceJunkAndOverflow) {
   }
 }
 
+TEST(ParseF64, AcceptsFiniteDecimalAndScientific) {
+  EXPECT_EQ(parse_f64("0.5"), 0.5);
+  EXPECT_EQ(parse_f64("0"), 0.0);
+  EXPECT_EQ(parse_f64("-2"), -2.0);
+  EXPECT_EQ(parse_f64("1e-3"), 1e-3);
+  EXPECT_EQ(parse_f64(".25"), 0.25);
+  EXPECT_EQ(parse_f64("1.7976931348623157e308"), 1.7976931348623157e308);
+}
+
+TEST(ParseF64, RejectsJunkWhitespaceSignsAndNonFinite) {
+  for (const char* text :
+       {"", "0.5x", "abc", " 0.5", "0.5 ", "+0.5", "0.5\n", "1e", "--1",
+        "0x1p-2", "nan", "NaN", "-nan", "inf", "-inf", "infinity", "1e999",
+        "-1e999"}) {
+    SCOPED_TRACE(text);
+    EXPECT_FALSE(parse_f64(text).has_value());
+  }
+}
+
 TEST(Csv, WritesQuotedCells) {
   const std::string path = "/tmp/unisamp_csv_test.csv";
   {

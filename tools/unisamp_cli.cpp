@@ -11,9 +11,9 @@
 // Traces are one-id-per-line text files ('#' comments allowed).
 // Exit status: 0 = success, 1 = runtime failure (e.g. an unreadable or
 // malformed trace), 2 = usage error (unknown command or option value,
-// malformed number, gen-attack without 1 <= n <= m).
+// malformed number, gen-attack without 1 <= n <= m, effort's eta outside
+// (0, 1)).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
@@ -61,6 +61,15 @@ struct UsageError : std::runtime_error {
 std::uint64_t arg_u64(const char* s) {
   const std::optional<std::uint64_t> v = parse_u64(s);
   if (!v) throw UsageError(std::string("malformed number: '") + s + "'");
+  return *v;
+}
+
+/// Strict eta in (0, 1) (util/parse.hpp); UsageError otherwise.
+double arg_eta(const char* s) {
+  const std::optional<double> v = parse_f64(s);
+  if (!v) throw UsageError(std::string("malformed number: '") + s + "'");
+  if (!(*v > 0.0 && *v < 1.0))
+    throw UsageError(std::string("eta must be in (0, 1): '") + s + "'");
   return *v;
 }
 
@@ -192,7 +201,7 @@ int cmd_effort(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::uint64_t k = arg_u64(argv[0]);
   const std::uint64_t s = arg_u64(argv[1]);
-  const double eta = std::strtod(argv[2], nullptr);
+  const double eta = arg_eta(argv[2]);
   std::printf("k=%llu s=%llu eta=%g:\n", static_cast<unsigned long long>(k),
               static_cast<unsigned long long>(s), eta);
   std::printf("  targeted attack needs L_{k,s} = %llu distinct forged ids\n",
