@@ -9,6 +9,12 @@ without 1 <= n <= m, effort's eta outside (0, 1) and an unknown
 exactly 2 with the usage text on stderr: not 1 (a runtime failure), not a
 signal (a crash), not 0 (a silently misread value).
 
+Then runs `run --strategy=omniscient` on well-formed traces whose ids are
+too large for its dense probability vector (2^64 - 1, which wraps the
+vector size to 0, and 3e9, which asks for 24 GB) and asserts exit 1 with
+the offending id on stderr: a runtime failure, not a signal or an
+allocation attempt.
+
 Registered with ctest as `smoke_cli_usage_errors` (labels unit;smoke).
 """
 
@@ -51,22 +57,35 @@ def main(argv):
         ]
         failures = 0
         for args in cases:
-            proc = subprocess.run([cli, *args], capture_output=True,
-                                  text=True, timeout=120)
-            label = " ".join(a.replace(tmp, "$TMP") for a in args)
-            if proc.returncode == 2 and "usage:" in proc.stderr:
-                print(f"ok   {label}")
-                continue
-            failures += 1
-            how = (f"killed by signal {-proc.returncode}"
-                   if proc.returncode < 0 else f"exit {proc.returncode}")
-            print(f"FAIL {label}: {how}, expected exit 2 with usage\n"
-                  f"--- stderr ---\n{proc.stderr}")
+            failures += not expect_exit(cli, args, tmp, 2, "usage:")
+        for bad_id in ["18446744073709551615", "3000000000"]:
+            big = os.path.join(tmp, "big.txt")
+            with open(big, "w") as f:
+                f.write(f"1\n{bad_id}\n")
+            failures += not expect_exit(
+                cli, ["run", big, out, "--strategy=omniscient"], tmp, 1,
+                bad_id)
     if failures:
-        print(f"\n{failures} argument list(s) not rejected as usage errors")
+        print(f"\n{failures} bad invocation(s) not rejected as expected")
         return 1
-    print("\nevery bad argument list exits 2")
+    print("\nevery bad argument list exits 2, every oversized omniscient "
+          "trace exits 1")
     return 0
+
+
+def expect_exit(cli, args, tmp, code, needle):
+    """Runs the CLI; True iff it exits `code` with `needle` on stderr."""
+    proc = subprocess.run([cli, *args], capture_output=True, text=True,
+                          timeout=120)
+    label = " ".join(a.replace(tmp, "$TMP") for a in args)
+    if proc.returncode == code and needle in proc.stderr:
+        print(f"ok   {label}")
+        return True
+    how = (f"killed by signal {-proc.returncode}"
+           if proc.returncode < 0 else f"exit {proc.returncode}")
+    print(f"FAIL {label}: {how}, expected exit {code} with {needle!r}\n"
+          f"--- stderr ---\n{proc.stderr}")
+    return False
 
 
 if __name__ == "__main__":

@@ -55,7 +55,7 @@ void expect_node_matches_per_id_replay(GossipNetwork& net, std::size_t node) {
   ASSERT_EQ(batched.processed(), per_id.processed()) << "node " << node;
   ASSERT_EQ(batched.output_stream(), per_id.output_stream())
       << "node " << node;
-  ASSERT_EQ(batched.output_histogram().raw(), per_id.output_histogram().raw())
+  ASSERT_EQ(batched.output_histogram(), per_id.output_histogram())
       << "node " << node;
   // Post-round RNG states must agree too: the next draws are identical.
   for (int i = 0; i < 16; ++i)

@@ -63,7 +63,7 @@ TEST_P(ServiceBatchTest, StreamIngestMatchesPerItemIngest) {
 
   EXPECT_EQ(per_item.processed(), batched.processed());
   EXPECT_EQ(per_item.output_stream(), batched.output_stream());
-  EXPECT_EQ(per_item.output_histogram().raw(), batched.output_histogram().raw());
+  EXPECT_EQ(per_item.output_histogram(), batched.output_histogram());
   // Post-ingest RNG states must agree too: sample() draws the same ids.
   for (int i = 0; i < 32; ++i)
     ASSERT_EQ(per_item.sample(), batched.sample()) << "sample " << i;
@@ -79,8 +79,7 @@ TEST_P(ServiceBatchTest, UnrecordedOutputStillFeedsHistogram) {
   unrecorded.on_receive_stream(input);
 
   EXPECT_TRUE(unrecorded.output_stream().empty());
-  EXPECT_EQ(recorded.output_histogram().raw(),
-            unrecorded.output_histogram().raw());
+  EXPECT_EQ(recorded.output_histogram(), unrecorded.output_histogram());
   EXPECT_EQ(unrecorded.output_histogram().total(), input.size());
 }
 
@@ -147,7 +146,7 @@ TEST(ProcessStreamTest, AbortedBatchNeverLeaksIntoLaterBatches) {
   for (const NodeId id : healthy) reference.on_receive(id);
 
   EXPECT_EQ(service.processed(), reference.processed());
-  EXPECT_EQ(service.output_histogram().raw(), reference.output_histogram().raw());
+  EXPECT_EQ(service.output_histogram(), reference.output_histogram());
   EXPECT_EQ(service.output_histogram().total(), 2u + healthy.size());
 
   // Same invariant when the poison batch follows a successful one.

@@ -44,7 +44,7 @@ void expect_identical(const ShardedSamplingService& a,
                       ShardedSamplingService& b) {
   EXPECT_EQ(a.processed(), b.processed());
   EXPECT_EQ(a.merged_output_stream(), b.merged_output_stream());
-  EXPECT_EQ(a.merged_histogram().raw(), b.merged_histogram().raw());
+  EXPECT_EQ(a.merged_histogram(), b.merged_histogram());
   EXPECT_EQ(a.state_checksum(), b.state_checksum());
   for (std::size_t s = 0; s < a.shard_count(); ++s) {
     EXPECT_EQ(a.shard(s).processed(), b.shard(s).processed()) << "shard " << s;
@@ -97,7 +97,7 @@ TEST(ShardedServiceTest, SingleShardMatchesPlainService) {
 
   EXPECT_EQ(sharded.processed(), plain.processed());
   EXPECT_EQ(sharded.merged_output_stream(), plain.output_stream());
-  EXPECT_EQ(sharded.merged_histogram().raw(), plain.output_histogram().raw());
+  EXPECT_EQ(sharded.merged_histogram(), plain.output_histogram());
   for (int i = 0; i < 32; ++i)
     ASSERT_EQ(sharded.sample(), plain.sample()) << "draw " << i;
 }
@@ -265,7 +265,7 @@ TEST(ShardedServiceTest, UnrecordedOutputStillFeedsHistograms) {
   recorded.ingest(input);
   unrecorded.ingest(input);
   EXPECT_TRUE(unrecorded.merged_output_stream().empty());
-  EXPECT_EQ(recorded.merged_histogram().raw(), unrecorded.merged_histogram().raw());
+  EXPECT_EQ(recorded.merged_histogram(), unrecorded.merged_histogram());
   EXPECT_EQ(unrecorded.processed(), input.size());
 }
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
+#include <map>
 #include <numeric>
 
 #include "stream/discrete_sampler.hpp"
 #include "stream/generators.hpp"
 #include "stream/histogram.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace unisamp {
@@ -190,6 +194,174 @@ TEST(Histogram, DistributionNormalised) {
   const auto d = h.distribution(2);
   EXPECT_NEAR(d[0], 0.25, 1e-12);
   EXPECT_NEAR(d[1], 0.75, 1e-12);
+}
+
+TEST(Histogram, AddZeroCountIsNoOp) {
+  FrequencyHistogram h;
+  h.add(7, 0);
+  EXPECT_EQ(h.total(), 0u);
+  EXPECT_EQ(h.distinct(), 0u);
+  EXPECT_EQ(h.count(7), 0u);
+  EXPECT_TRUE(h.raw().begin() == h.raw().end());
+  EXPECT_EQ(h, FrequencyHistogram{});
+
+  h.add(7);
+  h.add(9, 0);
+  EXPECT_EQ(h.total(), 1u);
+  EXPECT_EQ(h.distinct(), 1u);
+  EXPECT_EQ(h.count(9), 0u);
+  EXPECT_EQ(h.sorted_frequencies(), (std::vector<std::uint64_t>{1}));
+}
+
+TEST(Histogram, EqualityIgnoresInsertionOrder) {
+  FrequencyHistogram forward, backward;
+  for (NodeId id = 0; id < 100; ++id) forward.add(id, id % 7 + 1);
+  for (NodeId id = 100; id-- > 0;) backward.add(id, id % 7 + 1);
+  EXPECT_EQ(forward, backward);
+  EXPECT_EQ(FrequencyHistogram{}, FrequencyHistogram{});
+
+  // Same total and distinct, one count differs.
+  FrequencyHistogram plus3 = forward, plus4 = forward;
+  plus3.add(3);
+  plus4.add(4);
+  EXPECT_NE(plus3, plus4);
+  // Same total and distinct, one id differs.
+  FrequencyHistogram plus1000 = forward, plus1001 = forward;
+  plus1000.add(1000);
+  plus1001.add(1001);
+  EXPECT_NE(plus1000, plus1001);
+  EXPECT_NE(forward, plus3);  // total differs
+  EXPECT_NE(plus3, plus1000);  // distinct differs
+  EXPECT_NE(FrequencyHistogram{}, forward);
+}
+
+// Everything FrequencyHistogram reports, recomputed from a std::map oracle.
+void expect_matches_oracle(const FrequencyHistogram& h,
+                           const std::map<NodeId, std::uint64_t>& oracle,
+                           std::span<const NodeId> absent) {
+  std::uint64_t total = 0, best = 0;
+  NodeId best_id = 0;
+  std::vector<std::uint64_t> freqs;
+  for (const auto& [id, c] : oracle) {
+    EXPECT_EQ(h.count(id), c) << "id " << id;
+    total += c;
+    freqs.push_back(c);
+    if (c > best) {  // ascending ids: the first maximum is the smallest id
+      best = c;
+      best_id = id;
+    }
+  }
+  for (const NodeId id : absent) {
+    if (!oracle.contains(id)) {
+      EXPECT_EQ(h.count(id), 0u) << "id " << id;
+    }
+  }
+  EXPECT_EQ(h.total(), total);
+  EXPECT_EQ(h.distinct(), oracle.size());
+  EXPECT_EQ(h.max_frequency(), best);
+  EXPECT_EQ(h.most_frequent_id(), best_id);
+  std::sort(freqs.rbegin(), freqs.rend());
+  EXPECT_EQ(h.sorted_frequencies(), freqs);
+
+  constexpr std::uint64_t kDense = 300;
+  std::vector<double> dist(kDense, 0.0);
+  std::uint64_t counted = 0;
+  for (const auto& [id, c] : oracle) {
+    if (id >= kDense) break;
+    dist[id] = static_cast<double>(c);
+    counted += c;
+  }
+  if (counted > 0)
+    for (double& x : dist) x /= static_cast<double>(counted);
+  EXPECT_EQ(h.distribution(kDense), dist);
+
+  // raw() yields every entry exactly once: sorted, it is the oracle.
+  std::vector<FrequencyHistogram::Entry> entries(h.raw().begin(),
+                                                 h.raw().end());
+  std::sort(entries.begin(), entries.end());
+  EXPECT_EQ(entries, (std::vector<FrequencyHistogram::Entry>(oracle.begin(),
+                                                             oracle.end())));
+}
+
+// True when id's hash has its top 10 bits set: in every table of up to 1024
+// slots such ids share the last slot as home, so their probe runs pile up
+// and wrap around to slot 0.
+bool homes_in_last_slot(NodeId id) {
+  return FrequencyHistogram::hash(id) >> 54 == 1023;
+}
+
+std::vector<NodeId> colliding_ids(std::size_t n) {
+  std::vector<NodeId> ids;
+  for (NodeId id = 1u << 20; ids.size() < n; ++id)
+    if (homes_in_last_slot(id)) ids.push_back(id);
+  return ids;
+}
+
+TEST(Histogram, MatchesMapOracleAcrossGrowth) {
+  constexpr NodeId kMaxId = std::numeric_limits<NodeId>::max();
+  const std::vector<NodeId> colliding = colliding_ids(48);
+  Xoshiro256 rng(20130624);
+  // Ids 0 and 2^64-1, hash collisions, ids equal in their low 32 bits and a
+  // dense range that widens each round, so the table keeps growing.
+  const auto draw = [&](int round) -> NodeId {
+    switch (rng.next_below(8)) {
+      case 0: return rng.next_below(2) == 0 ? NodeId{0} : kMaxId;
+      case 1: return colliding[rng.next_below(colliding.size())];
+      case 2: return (rng.next_below(64) + 1) << 32;
+      default:
+        return rng.next_below(500 * static_cast<std::uint64_t>(round + 1));
+    }
+  };
+
+  FrequencyHistogram batched, per_id;
+  std::map<NodeId, std::uint64_t> oracle;
+  std::vector<NodeId> absent = {1, kMaxId - 1, std::uint64_t{65} << 32,
+                                (std::uint64_t{1} << 32) | 1};
+  for (NodeId id = colliding.back() + 1; absent.size() < 12; ++id)
+    if (homes_in_last_slot(id)) absent.push_back(id);
+
+  constexpr std::array<std::size_t, 6> kBatchLengths = {0, 1, 15, 16, 17,
+                                                        1000};
+  for (int round = 0; round < 12; ++round) {
+    for (const std::size_t len : kBatchLengths) {
+      SCOPED_TRACE(::testing::Message()
+                   << "round " << round << ", batch of " << len);
+      Stream batch(len);
+      for (NodeId& id : batch) id = draw(round);
+      batched.add_stream(batch);
+      for (const NodeId id : batch) {
+        per_id.add(id);
+        ++oracle[id];
+      }
+      expect_matches_oracle(batched, oracle, absent);
+      expect_matches_oracle(per_id, oracle, absent);
+      EXPECT_EQ(batched, per_id);
+      if (HasFailure()) return;
+    }
+    // Bulk counts, on a colliding id and on an extreme one.
+    const std::uint64_t big = std::uint64_t{1} << (40 + round);
+    const NodeId heavy = round % 2 == 0 ? colliding[round] : kMaxId;
+    batched.add(heavy, big);
+    per_id.add(heavy, big);
+    oracle[heavy] += big;
+    expect_matches_oracle(batched, oracle, absent);
+    EXPECT_EQ(batched, per_id);
+    if (HasFailure()) return;
+  }
+  // Past 3/4 of 4096 slots: the table grew nine times, from 16 to 8192.
+  EXPECT_GT(oracle.size(), 3072u);
+}
+
+// Tied maxima resolve to the smallest id, whatever the slot order.
+TEST(Histogram, MostFrequentIdBreaksTiesBySmallestId) {
+  const std::vector<NodeId> colliding = colliding_ids(6);
+  FrequencyHistogram h;
+  for (auto it = colliding.rbegin(); it != colliding.rend(); ++it)
+    h.add(*it, 5);
+  h.add(std::numeric_limits<NodeId>::max(), 5);
+  EXPECT_EQ(h.most_frequent_id(), colliding.front());
+  h.add(0, 5);
+  EXPECT_EQ(h.most_frequent_id(), 0u);
 }
 
 TEST(ComputeStats, MatchesTableIIShape) {

@@ -10,9 +10,9 @@
 //
 // Traces are one-id-per-line text files ('#' comments allowed).
 // Exit status: 0 = success, 1 = runtime failure (e.g. an unreadable or
-// malformed trace), 2 = usage error (unknown command or option value,
-// malformed number, gen-attack without 1 <= n <= m, effort's eta outside
-// (0, 1)).
+// malformed trace, or an omniscient run on an id above 2^24 - 1), 2 = usage
+// error (unknown command or option value, malformed number, gen-attack
+// without 1 <= n <= m, effort's eta outside (0, 1)).
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -51,6 +51,11 @@ int usage() {
   print_usage(stderr);
   return 2;
 }
+
+/// Largest trace id `run --strategy=omniscient` accepts.  Its known
+/// probabilities are a dense vector over [0, max id], 8 B per id: 128 MiB at
+/// this cap, where one id of 2^64 - 1 would wrap the size to 0.
+constexpr NodeId kMaxOmniscientId = (NodeId{1} << 24) - 1;
 
 /// A bad command line: main prints the message and the usage, exits 2.
 struct UsageError : std::runtime_error {
@@ -148,10 +153,17 @@ int cmd_run(int argc, char** argv) {
   const Stream input = load_stream_text(argv[0]);
 
   if (cfg.strategy == Strategy::kOmniscient) {
+    NodeId max_id = 0;
+    for (NodeId id : input) {
+      if (id > kMaxOmniscientId)
+        throw std::runtime_error(
+            "omniscient strategy: trace id " + std::to_string(id) +
+            " exceeds the largest supported id " +
+            std::to_string(kMaxOmniscientId));
+      max_id = std::max(max_id, id);
+    }
     FrequencyHistogram h;
     h.add_stream(input);
-    NodeId max_id = 0;
-    for (NodeId id : input) max_id = std::max(max_id, id);
     std::vector<double> p(max_id + 1, 0.0);
     double minp = 1e300;
     for (const auto& [id, c] : h.raw())
