@@ -1,12 +1,12 @@
 // Figure-runner layer of the benchmark harness.
 //
-// Every figure/table reproduction binary under bench/ is one FigureDef: a
+// Every bench/ binary — the paper's figures and tables, the scenario
+// artefacts and the `kernels` throughput record — is one FigureDef: a
 // compute function that fills a FigureSeries (the artefact's data, the part
 // that is checksummed) plus an optional render function that pretty-prints
 // the series to stdout.  run_figure_main() supplies everything else — the
 // shared CLI (--quick / --seed= / --out-dir=), the banner, the timed run
-// through the same scenario runner tools/unisamp_bench uses, and the two
-// output files:
+// through the scenario runner (runner.hpp), and the two output files:
 //
 //   bench_results/<slug>.csv   — the data series (columns + numeric rows)
 //   bench_results/<slug>.json  — the "unisamp-figure-v1" sidecar: series +

@@ -2,10 +2,10 @@
 // benchmark harness (the repo bakes in no third-party JSON library).
 //
 // The writer produces pretty-printed, two-space-indented JSON with keys in
-// insertion order, so a committed report (BENCH_baseline.json) diffs line by
-// line when a single scenario moves.  It is a push-down writer: begin/end
-// calls must nest correctly, and every value inside an object must be
-// preceded by key().  Misuse throws std::logic_error rather than emitting
+// insertion order, so a committed sidecar (bench_results_reference/) diffs
+// line by line when a single value moves.  It is a push-down writer:
+// begin/end calls must nest correctly, and every value inside an object must
+// be preceded by key().  Misuse throws std::logic_error rather than emitting
 // malformed output, because the reports are parsed by CI tooling
 // (tools/check_bench_regression.py) where a silent syntax error would turn
 // the whole perf trajectory into noise.

@@ -1,9 +1,6 @@
 #include "bench_harness/runner.hpp"
 
-#include <fstream>
 #include <stdexcept>
-
-#include "bench_harness/json_writer.hpp"
 
 namespace unisamp::bench_harness {
 
@@ -45,66 +42,7 @@ ScenarioReport run_scenario(const Scenario& scenario, const RunOptions& opts) {
   report.ns_per_op = SampleStats::from(report.samples_ns_per_op);
   if (report.ns_per_op.median > 0.0)
     report.items_per_sec = 1e9 / report.ns_per_op.median;
-  if (opts.log)
-    std::fprintf(opts.log, "%-32s %12.1f ns/op  %14.0f items/s  (%llu items)\n",
-                 report.name.c_str(), report.ns_per_op.median,
-                 report.items_per_sec,
-                 static_cast<unsigned long long>(report.items));
   return report;
-}
-
-std::vector<ScenarioReport> run_scenarios(const ScenarioRegistry& registry,
-                                          const RunOptions& opts) {
-  std::vector<ScenarioReport> reports;
-  for (const Scenario* scenario : registry.match(opts.filter))
-    reports.push_back(run_scenario(*scenario, opts));
-  return reports;
-}
-
-std::string report_json(std::span<const ScenarioReport> reports,
-                        const RunOptions& opts) {
-  JsonWriter w;
-  w.begin_object();
-  w.member("schema", "unisamp-bench-v1");
-  w.member("quick", opts.quick);
-  w.member("warmup", opts.warmup);
-  w.member("repeats", opts.repeats);
-  w.member("seed", opts.seed);
-  w.key("scenarios");
-  w.begin_array();
-  for (const ScenarioReport& r : reports) {
-    w.begin_object();
-    w.member("name", std::string_view(r.name));
-    w.member("description", std::string_view(r.description));
-    w.member("items", r.items);
-    w.member("checksum", r.checksum);
-    w.key("ns_per_op");
-    w.begin_object();
-    w.member("min", r.ns_per_op.min);
-    w.member("max", r.ns_per_op.max);
-    w.member("median", r.ns_per_op.median);
-    w.member("mean", r.ns_per_op.mean);
-    w.member("stddev", r.ns_per_op.stddev);
-    w.end_object();
-    w.member("items_per_sec", r.items_per_sec);
-    w.key("samples_ns_per_op");
-    w.begin_array();
-    for (const double s : r.samples_ns_per_op) w.value(s);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
-
-bool write_report_json(const std::string& path,
-                       std::span<const ScenarioReport> reports,
-                       const RunOptions& opts) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << report_json(reports, opts) << '\n';
-  return out.good();
 }
 
 }  // namespace unisamp::bench_harness

@@ -1,39 +1,14 @@
-// Benchmark runner: warmup/repeat timing loop + schema-stable JSON report.
+// Benchmark runner: the warmup/repeat timing loop.
 //
-// For each selected scenario the runner executes `warmup` untimed
-// repetitions followed by `repeats` timed ones, all with the SAME seed so
-// every repetition does identical work; the per-repetition checksums must
-// agree or the runner aborts (see scenario.hpp).  Timings are reported as
-// ns/op (elapsed / items) with the median as the headline number.
-//
-// The JSON schema ("unisamp-bench-v1") is the contract between this
-// harness, the committed BENCH_baseline.json, and
-// tools/check_bench_regression.py — extend it by ADDING keys, never by
-// renaming or repurposing existing ones:
-//
-//   {
-//     "schema": "unisamp-bench-v1",
-//     "quick": bool,          // --quick item budgets were used
-//     "warmup": int, "repeats": int, "seed": int,
-//     "scenarios": [
-//       { "name": str, "description": str,
-//         "items": int,       // items per repetition
-//         "checksum": int,    // determinism fold, stable across machines
-//         "ns_per_op": { "min": num, "max": num, "median": num,
-//                        "mean": num, "stddev": num },
-//         "items_per_sec": num,             // derived from the median
-//         "samples_ns_per_op": [num, ...] } // one entry per repetition
-//     ]
-//   }
-//
-// Deliberately absent: timestamps, hostnames, git hashes.  Reports are
-// pure functions of (code, options, machine), so two runs on one machine
-// diff clean and the committed baseline never churns for free.
+// For a scenario the runner executes `warmup` untimed repetitions followed
+// by `repeats` timed ones, all with the SAME seed so every repetition does
+// identical work; the per-repetition checksums must agree or the runner
+// aborts (see scenario.hpp).  Timings are reported as ns/op (elapsed /
+// items) with the median as the headline number.  Records are written by
+// the figure layer (figure.hpp) as unisamp-figure-v1 sidecars.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -45,10 +20,8 @@ namespace unisamp::bench_harness {
 struct RunOptions {
   int warmup = 1;
   int repeats = 5;
-  bool quick = false;        ///< use quick_items instead of full_items
-  std::uint64_t seed = 1;    ///< master seed handed to every scenario
-  std::string filter;        ///< substring scenario selector; empty = all
-  std::FILE* log = nullptr;  ///< per-scenario progress lines (e.g. stderr)
+  bool quick = false;      ///< use quick_items instead of full_items
+  std::uint64_t seed = 1;  ///< master seed handed to the scenario
 };
 
 /// Measured outcome of one scenario.
@@ -62,22 +35,8 @@ struct ScenarioReport {
   double items_per_sec = 0.0;             ///< from the median
 };
 
-/// Runs one scenario under the options (filter is ignored here).  Throws
-/// std::runtime_error if repetitions disagree on checksum or item count.
+/// Runs one scenario under the options.  Throws std::runtime_error if
+/// repetitions disagree on checksum or item count.
 ScenarioReport run_scenario(const Scenario& scenario, const RunOptions& opts);
-
-/// Runs every scenario matching opts.filter, in registration order.
-std::vector<ScenarioReport> run_scenarios(const ScenarioRegistry& registry,
-                                          const RunOptions& opts);
-
-/// Serializes reports to the unisamp-bench-v1 JSON document.
-std::string report_json(std::span<const ScenarioReport> reports,
-                        const RunOptions& opts);
-
-/// Writes report_json() to `path` (with a trailing newline); returns false
-/// on I/O failure.
-bool write_report_json(const std::string& path,
-                       std::span<const ScenarioReport> reports,
-                       const RunOptions& opts);
 
 }  // namespace unisamp::bench_harness

@@ -1,4 +1,4 @@
-// Scenario registry of the benchmark harness.
+// Scenario type of the benchmark harness.
 //
 // A Scenario is a named, self-contained unit of measured work: the runner
 // hands it an item budget (how much work to do — full or --quick scale) and
@@ -8,19 +8,12 @@
 // same seed for each repetition and refuses to report timings whose
 // checksums disagree, because a nondeterministic scenario cannot be
 // regression-tracked (its work varies, not just its wall clock).
-//
-// Scenarios register by name into a ScenarioRegistry.  Names are
-// slash-scoped ("sketch/count_min_update") so --filter can select whole
-// families by substring.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <stdexcept>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "util/rng.hpp"
 
@@ -50,30 +43,14 @@ constexpr std::uint64_t checksum_of(std::span<const std::uint64_t> values) {
 }
 
 struct Scenario {
-  std::string name;         ///< slash-scoped, unique within a registry
-  std::string description;  ///< one line, carried into the JSON report
+  std::string name;         ///< slash-scoped ("sketch/count_min_update")
+  std::string description;  ///< one line (a figure's is its sidecar's)
   std::uint64_t full_items = 0;   ///< item budget of a normal run
   std::uint64_t quick_items = 0;  ///< item budget under --quick (CI smoke)
   /// One repetition: do `items` worth of work, deriving all randomness from
   /// `seed`.  Setup that should not be timed belongs in captured state
-  /// built before registration (the runner times the whole call).
+  /// built before the run (the runner times the whole call).
   std::function<ScenarioResult(std::uint64_t items, std::uint64_t seed)> run;
-};
-
-class ScenarioRegistry {
- public:
-  /// Adds a scenario; throws std::invalid_argument on a duplicate name or a
-  /// missing run function.
-  void add(Scenario scenario);
-
-  const std::vector<Scenario>& all() const { return scenarios_; }
-
-  /// Scenarios whose name contains `filter` (empty matches all), in
-  /// registration order.
-  std::vector<const Scenario*> match(std::string_view filter) const;
-
- private:
-  std::vector<Scenario> scenarios_;
 };
 
 }  // namespace unisamp::bench_harness

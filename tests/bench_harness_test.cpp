@@ -1,6 +1,6 @@
 // Unit tests for the benchmark-harness subsystem: JSON writer syntax and
-// escaping, sample statistics, scenario registration, and the runner's
-// determinism contract (checksum agreement across repetitions).
+// escaping, sample statistics, and the runner's determinism contract
+// (checksum agreement across repetitions).
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -103,27 +103,6 @@ Scenario counting_scenario(const std::string& name) {
   return s;
 }
 
-TEST(ScenarioRegistryTest, RejectsDuplicatesAndInvalid) {
-  ScenarioRegistry reg;
-  reg.add(counting_scenario("a/x"));
-  EXPECT_THROW(reg.add(counting_scenario("a/x")), std::invalid_argument);
-  Scenario missing_run = counting_scenario("a/y");
-  missing_run.run = nullptr;
-  EXPECT_THROW(reg.add(missing_run), std::invalid_argument);
-}
-
-TEST(ScenarioRegistryTest, FilterMatchesSubstring) {
-  ScenarioRegistry reg;
-  reg.add(counting_scenario("sketch/update"));
-  reg.add(counting_scenario("sketch/estimate"));
-  reg.add(counting_scenario("sampler/kf"));
-  EXPECT_EQ(reg.match("").size(), 3u);
-  EXPECT_EQ(reg.match("sketch/").size(), 2u);
-  ASSERT_EQ(reg.match("kf").size(), 1u);
-  EXPECT_EQ(reg.match("kf")[0]->name, "sampler/kf");
-  EXPECT_TRUE(reg.match("nope").empty());
-}
-
 TEST(RunnerTest, ReportsDeterministicScenario) {
   RunOptions opts;
   opts.warmup = 1;
@@ -150,22 +129,6 @@ TEST(RunnerTest, RejectsNondeterministicScenario) {
   RunOptions opts;
   opts.repeats = 2;
   EXPECT_THROW(run_scenario(s, opts), std::runtime_error);
-}
-
-TEST(RunnerTest, ReportJsonCarriesSchemaAndScenarios) {
-  ScenarioRegistry reg;
-  reg.add(counting_scenario("a/one"));
-  reg.add(counting_scenario("b/two"));
-  RunOptions opts;
-  opts.repeats = 2;
-  const auto reports = run_scenarios(reg, opts);
-  ASSERT_EQ(reports.size(), 2u);
-  const std::string json = report_json(reports, opts);
-  EXPECT_NE(json.find("\"schema\": \"unisamp-bench-v1\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"a/one\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"b/two\""), std::string::npos);
-  EXPECT_NE(json.find("\"ns_per_op\""), std::string::npos);
-  EXPECT_NE(json.find("\"items_per_sec\""), std::string::npos);
 }
 
 }  // namespace

@@ -240,15 +240,18 @@ TEST(FigureSeriesTest, ChecksumCoversEveryCellAndRow) {
   EXPECT_NE(a.row_checksum(1), b.row_checksum(1));  // edited row localised
 }
 
-// The three ported figures the determinism/schema satellites exercise: one
+// The figures the determinism/schema satellites exercise: one
 // pure-analysis figure (fig3), one that averages trials on the thread pool
-// (fig8), and one sampler sweep (fig10).  --quick keeps each under a
+// (fig8), one sampler sweep (fig10), and the kernel throughput record
+// (kernels: every sampler, sketch, service, gossip and run_trials kernel,
+// so they also run in the sanitizer jobs).  --quick keeps each under a
 // fraction of a second.
 std::vector<figures::FigureDef> sampled_defs() {
   std::vector<figures::FigureDef> defs;
   defs.push_back(figures::make_fig3_targeted_effort());
   defs.push_back(figures::make_fig8_gain_vs_n());
   defs.push_back(figures::make_fig10_gain_vs_c());
+  defs.push_back(figures::make_kernels());
   return defs;
 }
 

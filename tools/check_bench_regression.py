@@ -1,41 +1,33 @@
 #!/usr/bin/env python3
-"""Compare unisamp benchmark records against a committed baseline.
+"""Compare unisamp figure records against a committed reference.
 
 Usage:
-    check_bench_regression.py BASELINE CURRENT [--threshold=0.30]
-                              [--timing=gate|report]
+    check_bench_regression.py BASELINE CURRENT [--timing=gate|report]
 
 BASELINE and CURRENT may each be:
-  * a unisamp-bench-v1 report (tools/unisamp_bench output),
-  * a unisamp-figure-v1 sidecar (a bench/ figure binary's
+  * a unisamp-figure-v1 sidecar (a bench/ binary's
     bench_results/<name>.json), or
-  * a directory — every readable *.json inside with one of those schemas
-    is merged into one scenario set (e.g. a whole bench_results/ tree).
+  * a directory — every *.json inside is read as a sidecar and the
+    records are merged into one scenario set (e.g. a whole bench_results/
+    tree).
 
-For every scenario present in both sides the median ns/op is compared.
-A scenario REGRESSES when its median slows down by more than the threshold
-AND more than the run-to-run noise recorded in the current report (3 sigma
-of its per-repetition samples; figure sidecars record a single repetition,
-so their noise term is zero).  Checksums are compared whenever both runs
-did identical work (same items, seed, and quick flag) — a mismatch there
-means behaviour changed, not just speed.
+For every scenario present in both sides the ns/op is compared. A
+scenario REGRESSES when it slows down by more than 30%. Checksums are
+compared whenever both runs did identical work (same items, seed, and
+quick flag) — a mismatch there means behaviour changed, not just speed.
 
 `--timing=report` demotes timing regressions to a printed report that does
 NOT affect the exit status; checksum changes and missing scenarios still
-fail.  That is the mode the figures-smoke CI gate runs in: shared-runner
+fail. That is the mode the figures-smoke CI gate runs in: shared-runner
 timings are noise against the reference machine, but a checksum mismatch
-is a behaviour change regardless of where it ran.  The default
+is a behaviour change regardless of where it ran. The default
 (`--timing=gate`) keeps regressions fatal.
-
-An EMPTY record set on either side is always an error (exit 2): a
-comparison that silently covered nothing must never read as a pass.
 
 Exit status: 0 = clean, 1 = at least one regression (timing=gate only),
 checksum change, or baseline scenario missing from the current run,
-2 = bad input or an empty record set.
-The CI bench-smoke job runs this as a non-blocking report step: absolute
-numbers from a shared runner are noisy against a baseline recorded on the
-reference machine, so the verdict informs rather than gates.
+2 = bad input: an unreadable or malformed record, an unknown schema, or
+a directory with no records (a comparison that silently covered nothing
+must never read as a pass).
 
 Self-test: tools/check_bench_regression_test.py (ctest entry
 `bench_regression_checker_test`) exercises every verdict and exit path on
@@ -43,9 +35,11 @@ crafted fixtures.
 """
 
 import json
-import math
 import os
 import sys
+
+# Slowdown fraction beyond which a scenario regresses.
+THRESHOLD = 0.30
 
 
 def bad_input(message):
@@ -53,41 +47,29 @@ def bad_input(message):
     sys.exit(2)
 
 
-def scenario_entries(doc, path):
-    """Normalizes one parsed JSON document into scenario entries.
+def scenario_entry(doc, path):
+    """Normalizes one parsed figure sidecar into a scenario entry.
 
     Every entry carries its own seed/quick so documents from different
     runs (e.g. a directory of figure sidecars) can be merged safely.
     """
     schema = doc.get("schema")
-    if schema == "unisamp-bench-v1":
-        return [{
-            "name": s["name"],
-            "items": s["items"],
-            "checksum": s["checksum"],
-            "median": s["ns_per_op"]["median"],
-            "stddev": s["ns_per_op"]["stddev"],
-            "seed": doc.get("seed"),
-            "quick": doc.get("quick"),
-        } for s in doc["scenarios"]]
-    if schema == "unisamp-figure-v1":
-        timing = doc.get("timing", {})
-        return [{
-            "name": doc["scenario"],
-            "items": timing.get("items"),
-            "checksum": doc["checksum"],
-            "median": timing.get("ns_per_op", 0.0),
-            # One repetition: no repetition noise to widen the tolerance.
-            "stddev": 0.0,
-            "seed": doc.get("seed"),
-            "quick": doc.get("quick"),
-        }]
-    bad_input(f"error: {path} has unrecognized schema {schema!r} "
-              "(expected unisamp-bench-v1 or unisamp-figure-v1)")
+    if schema != "unisamp-figure-v1":
+        bad_input(f"error: {path} has unrecognized schema {schema!r} "
+                  "(expected unisamp-figure-v1)")
+    timing = doc["timing"]
+    return {
+        "name": doc["scenario"],
+        "items": timing["items"],
+        "checksum": doc["checksum"],
+        "ns_per_op": timing["ns_per_op"],
+        "seed": doc.get("seed"),
+        "quick": doc.get("quick"),
+    }
 
 
 def load(path):
-    """Loads a report file or a directory of them into scenario entries."""
+    """Loads a sidecar or a directory of them into scenario entries."""
     if os.path.isdir(path):
         entries = []
         for name in sorted(os.listdir(path)):
@@ -104,7 +86,7 @@ def load(path):
     if not isinstance(doc, dict):
         bad_input(f"error: {path} is not a JSON object")
     try:
-        return scenario_entries(doc, path)
+        return [scenario_entry(doc, path)]
     except (KeyError, TypeError) as e:
         bad_input(f"error: {path} has a malformed record "
                   f"({type(e).__name__}: {e})")
@@ -115,19 +97,9 @@ def main(argv):
     opts = [a for a in argv[1:] if a.startswith("--")]
     if len(args) != 2:
         bad_input(__doc__.strip())
-    threshold = 0.30
     timing_gate = True
     for opt in opts:
-        if opt.startswith("--threshold="):
-            value = opt.split("=", 1)[1]
-            try:
-                threshold = float(value)
-            except ValueError:
-                threshold = math.nan
-            if not 0.0 <= threshold < math.inf:
-                bad_input(f"--threshold must be a finite number >= 0, "
-                          f"got {value!r}")
-        elif opt.startswith("--timing="):
+        if opt.startswith("--timing="):
             mode = opt.split("=", 1)[1]
             if mode not in ("gate", "report"):
                 bad_input(f"--timing must be gate or report, got {mode!r}")
@@ -136,34 +108,24 @@ def main(argv):
             bad_input(f"unknown option {opt}")
 
     baseline, current = load(args[0]), load(args[1])
-    # A comparison over nothing must never pass: an empty side means the
-    # producer broke (or the wrong path was given), not that all is well.
-    if not baseline:
-        bad_input(f"error: baseline {args[0]} contains no scenario records")
-    if not current:
-        bad_input(f"error: current {args[1]} contains no scenario records")
     base_by_name = {s["name"]: s for s in baseline}
 
     regressions, behaviour_changes = [], []
-    width = max((len(s["name"]) for s in current), default=20)
+    width = max(len(s["name"]) for s in current)
     print(f"{'scenario':<{width}}  {'base ns/op':>12}  {'cur ns/op':>12}  "
           f"{'delta':>8}  verdict")
     for cur in current:
         base = base_by_name.get(cur["name"])
         if base is None:
             print(f"{cur['name']:<{width}}  {'-':>12}  "
-                  f"{cur['median']:>12.1f}  {'-':>8}  NEW")
+                  f"{cur['ns_per_op']:>12.1f}  {'-':>8}  NEW")
             continue
-        b, c = base["median"], cur["median"]
+        b, c = base["ns_per_op"], cur["ns_per_op"]
         delta = (c - b) / b if b > 0 else 0.0
-        # Tolerance: the configured threshold, widened to 3 sigma of the
-        # current run when its repetitions are noisier than that.
-        noise = 3 * cur["stddev"] / c if c > 0 else 0.0
-        tolerance = max(threshold, noise)
-        if delta > tolerance:
+        if delta > THRESHOLD:
             verdict = "REGRESSION"
             regressions.append(cur["name"])
-        elif delta < -threshold:
+        elif delta < -THRESHOLD:
             verdict = "improved"
         else:
             verdict = "ok"
@@ -178,9 +140,8 @@ def main(argv):
         print(f"{cur['name']:<{width}}  {b:>12.1f}  {c:>12.1f}  "
               f"{delta:>+7.1%}  {verdict}")
 
-    # A filtered current run legitimately covers fewer scenarios; a FULL run
-    # missing a baseline scenario means it silently fell out of perf
-    # tracking (renamed/dropped without refreshing the baseline) — fail.
+    # A baseline scenario missing from the current run fell out of
+    # tracking (renamed/dropped without refreshing the reference) — fail.
     missing = sorted(set(base_by_name) - {s["name"] for s in current})
     for name in missing:
         print(f"{name:<{width}}  {'(missing from current run)':>12}")
@@ -200,7 +161,7 @@ def main(argv):
         return 1
     if not regressions:
         print("\nno regressions beyond tolerance "
-              f"(threshold {threshold:.0%})")
+              f"(threshold {THRESHOLD:.0%})")
     return 0
 
 

@@ -2,19 +2,18 @@
 """Self-test for check_bench_regression.py.
 
 Runs the checker as a subprocess on crafted good / regressed / drifted /
-empty / malformed record fixtures and asserts the exit status and the
-verdict lines for every path the CI jobs rely on:
+empty / malformed figure-sidecar fixtures and asserts the exit status and
+the verdict lines for every path the CI jobs rely on:
 
-  * clean comparison                        -> 0
+  * clean comparison (file or directory)    -> 0
   * timing regression, --timing=gate        -> 1
   * timing regression, --timing=report      -> 0 (printed, not gating)
   * checksum change (same work)             -> 1 even under --timing=report
-  * baseline scenario missing from current  -> 1
-  * empty current / baseline record set     -> 2
+  * checksum change at different work       -> 0 (not comparable)
+  * baseline artefact missing from current  -> 1
   * empty directory / unknown schema        -> 2
-  * malformed --threshold, negative threshold, non-object JSON, record
-    missing a required field                -> 2 (never a traceback's 1)
-  * directory mode merging bench reports and figure sidecars -> 0
+  * non-object JSON, record missing a required field -> 2 (never a
+    traceback's 1)
 
 Registered with ctest as `bench_regression_checker_test` (label unit) so a
 checker that stops failing when it should fails the tier-1 gate itself.
@@ -30,25 +29,7 @@ CHECKER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "check_bench_regression.py")
 
 
-def bench_report(scenarios, quick=False, seed=1):
-    return {
-        "schema": "unisamp-bench-v1",
-        "quick": quick,
-        "warmup": 1, "repeats": 3, "seed": seed,
-        "scenarios": [{
-            "name": name,
-            "description": "fixture",
-            "items": items,
-            "checksum": checksum,
-            "ns_per_op": {"min": median, "max": median, "median": median,
-                          "mean": median, "stddev": stddev},
-            "items_per_sec": 1e9 / median if median else 0.0,
-            "samples_ns_per_op": [median] * 3,
-        } for (name, items, checksum, median, stddev) in scenarios],
-    }
-
-
-def figure_sidecar(name, checksum, ns_per_op, quick=True, seed=1):
+def figure_sidecar(name, checksum, ns_per_op, quick=True, seed=1, items=100):
     return {
         "schema": "unisamp-figure-v1",
         "artefact": "Fixture",
@@ -56,7 +37,7 @@ def figure_sidecar(name, checksum, ns_per_op, quick=True, seed=1):
         "description": "fixture",
         "quick": quick,
         "seed": seed,
-        "timing": {"items": 100, "ns_per_op": ns_per_op,
+        "timing": {"items": items, "ns_per_op": ns_per_op,
                    "items_per_sec": 1e9 / ns_per_op},
         "checksum": checksum,
         "columns": ["x"],
@@ -70,6 +51,13 @@ def write(tmp, name, doc):
     with open(path, "w") as f:
         json.dump(doc, f)
     return path
+
+
+def write_tree(tmp, name, *sidecars):
+    """Writes one directory holding each sidecar as <slug>.json."""
+    for doc in sidecars:
+        write(tmp, f"{name}/{doc['scenario'][4:]}.json", doc)
+    return os.path.join(tmp, name)
 
 
 def run(*argv):
@@ -98,24 +86,24 @@ def check(label, expected_code, actual_code, output, *expect_in_output):
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        base = write(tmp, "base.json", bench_report([
-            ("sketch/update", 1000, 42, 100.0, 1.0),
-            ("sampler/kf", 2000, 43, 200.0, 1.0),
-        ]))
+        base = write_tree(tmp, "base",
+                          figure_sidecar("fig/update", 42, 100.0),
+                          figure_sidecar("fig/kf", 43, 200.0))
 
-        # Clean: identical current.
-        cur = write(tmp, "clean.json", bench_report([
-            ("sketch/update", 1000, 42, 101.0, 1.0),
-            ("sampler/kf", 2000, 43, 199.0, 1.0),
-        ]))
+        # Clean: same checksums, timings within the threshold.
+        cur = write_tree(tmp, "clean",
+                         figure_sidecar("fig/update", 42, 101.0),
+                         figure_sidecar("fig/kf", 43, 199.0))
         code, out = run(base, cur)
         check("clean comparison", 0, code, out, "no regressions")
+        code, out = run(os.path.join(base, "kf.json"),
+                        os.path.join(cur, "kf.json"))
+        check("clean single-file comparison", 0, code, out, "no regressions")
 
-        # Timing regression: 2x slower, tiny noise.
-        cur = write(tmp, "slow.json", bench_report([
-            ("sketch/update", 1000, 42, 200.0, 0.1),
-            ("sampler/kf", 2000, 43, 200.0, 1.0),
-        ]))
+        # Timing regression: 2x slower.
+        cur = write_tree(tmp, "slow",
+                         figure_sidecar("fig/update", 42, 200.0),
+                         figure_sidecar("fig/kf", 43, 200.0))
         code, out = run(base, cur)
         check("regression gates by default", 1, code, out, "REGRESSION")
         code, out = run(base, cur, "--timing=report")
@@ -123,30 +111,31 @@ def main():
               "REGRESSION", "not gating")
 
         # Checksum change at identical work: fails in BOTH timing modes.
-        cur = write(tmp, "drift.json", bench_report([
-            ("sketch/update", 1000, 999, 100.0, 1.0),
-            ("sampler/kf", 2000, 43, 200.0, 1.0),
-        ]))
+        cur = write_tree(tmp, "drift",
+                         figure_sidecar("fig/update", 999, 100.0),
+                         figure_sidecar("fig/kf", 43, 200.0))
         code, out = run(base, cur)
         check("checksum drift fails", 1, code, out, "checksum changed")
         code, out = run(base, cur, "--timing=report")
         check("checksum drift fails under --timing=report", 1, code, out,
               "checksum changed")
 
-        # A baseline scenario missing from the current run.
-        cur = write(tmp, "partial.json", bench_report([
-            ("sketch/update", 1000, 42, 100.0, 1.0),
-        ]))
+        # Different work (a full-budget record against a quick one): the
+        # checksums are not comparable, so a difference is not drift.
+        cur = write_tree(tmp, "full",
+                         figure_sidecar("fig/update", 999, 100.0,
+                                        quick=False, items=2000),
+                         figure_sidecar("fig/kf", 43, 200.0))
         code, out = run(base, cur)
-        check("missing scenario fails", 1, code, out,
-              "missing from current run")
+        check("checksum at different work is not compared", 0, code, out,
+              "no regressions")
 
-        # Empty record sets are errors, never passes.
-        empty = write(tmp, "empty.json", bench_report([]))
-        code, out = run(base, empty)
-        check("empty current errors", 2, code, out, "no scenario records")
-        code, out = run(empty, cur)
-        check("empty baseline errors", 2, code, out, "no scenario records")
+        # A baseline artefact missing from the current run.
+        cur = write_tree(tmp, "partial",
+                         figure_sidecar("fig/update", 42, 100.0))
+        code, out = run(base, cur)
+        check("missing artefact fails", 1, code, out,
+              "missing from current run")
 
         # Empty directory / unknown schema.
         os.makedirs(os.path.join(tmp, "hollow"))
@@ -158,42 +147,19 @@ def main():
 
         # Bad input exits 2 with a message, never 1 (which means
         # "regression") through a Python traceback.
-        code, out = run(base, cur, "--threshold=abc")
-        check("malformed threshold errors", 2, code, out, "--threshold")
-        code, out = run(base, cur, "--threshold=-0.1")
-        check("negative threshold errors", 2, code, out, "--threshold")
-        array = write(tmp, "array.json", [bench_report([])])
+        array = write(tmp, "array.json", [figure_sidecar("fig/kf", 43, 1.0)])
         code, out = run(base, array)
         check("non-object document errors", 2, code, out, "not a JSON object")
-        for field in ("scenarios", "checksum", "ns_per_op"):
-            doc = bench_report([("sketch/update", 1000, 42, 100.0, 1.0)])
-            if field == "scenarios":
-                del doc["scenarios"]
+        for field in ("scenario", "checksum", "timing", "items", "ns_per_op"):
+            doc = figure_sidecar("fig/kf", 43, 200.0)
+            if field in doc:
+                del doc[field]
             else:
-                del doc["scenarios"][0][field]
+                del doc["timing"][field]
             lacking = write(tmp, f"lacks_{field}.json", doc)
             code, out = run(base, lacking)
             check(f"record missing {field} errors", 2, code, out,
                   "malformed record", field)
-
-        # Directory mode: bench reports and figure sidecars merge; figure
-        # checksums compare under the same-work rule.
-        write(tmp, "ref/bench.json", bench_report([
-            ("sketch/update", 1000, 42, 100.0, 1.0),
-        ]))
-        write(tmp, "ref/fig.json", figure_sidecar("fig/fixture", 7, 50.0))
-        write(tmp, "cur/bench.json", bench_report([
-            ("sketch/update", 1000, 42, 102.0, 1.0),
-        ]))
-        write(tmp, "cur/fig.json", figure_sidecar("fig/fixture", 7, 55.0))
-        code, out = run(os.path.join(tmp, "ref"), os.path.join(tmp, "cur"))
-        check("directory mode merges record kinds", 0, code, out,
-              "fig/fixture")
-        write(tmp, "cur/fig.json", figure_sidecar("fig/fixture", 8, 55.0))
-        code, out = run(os.path.join(tmp, "ref"), os.path.join(tmp, "cur"),
-                        "--timing=report")
-        check("figure checksum drift fails in directory mode", 1, code, out,
-              "checksum changed")
 
     if failures:
         print(f"\n{len(failures)} self-test failure(s):\n")
