@@ -54,14 +54,6 @@ AttackStream compose(std::span<const std::uint64_t> base_counts,
 }
 }  // namespace
 
-AttackStream make_peak_attack(std::span<const std::uint64_t> base_counts,
-                              std::uint64_t peak_injections,
-                              std::uint64_t seed) {
-  const NodeId forged = static_cast<NodeId>(base_counts.size());
-  const NodeId ids[] = {forged};
-  return compose(base_counts, ids, peak_injections, seed);
-}
-
 AttackStream make_targeted_attack(std::span<const std::uint64_t> base_counts,
                                   std::size_t distinct_ids,
                                   std::uint64_t repetitions,

@@ -8,6 +8,8 @@
 //
 // Three attack shapes drive the evaluation:
 //  * peak attack      — one id injected overwhelmingly often (Fig. 7a);
+//                       built from peak_attack_counts + exact_stream
+//                       (stream/generators.hpp);
 //  * targeted attack  — L_{k,s} distinct ids aimed at colliding with one
 //                       victim id in every Count-Min row (Sec. V-A);
 //  * flooding attack  — E_k distinct ids covering every sketch counter so
@@ -60,12 +62,6 @@ AttackStream compose_attack_stream(std::span<const std::uint64_t> base_counts,
                                    std::span<const NodeId> malicious_ids,
                                    std::span<const std::uint64_t> injections,
                                    std::uint64_t seed);
-
-/// Peak attack: `peak_injections` occurrences of a single malicious id on
-/// top of `base_counts` (legitimate per-id counts for ids [0, n)).
-AttackStream make_peak_attack(std::span<const std::uint64_t> base_counts,
-                              std::uint64_t peak_injections,
-                              std::uint64_t seed);
 
 /// Targeted attack: the adversary owns `distinct_ids` forged ids (its
 /// estimate of L_{k,s}) and injects each `repetitions` times, aiming to

@@ -25,15 +25,9 @@ struct ScenarioResult {
   std::uint64_t checksum = 0;  ///< fold of observable output (determinism)
 };
 
-/// The checksum convention every scenario uses: start from kChecksumSeed
-/// and fold each observed value with checksum_fold.  One shared definition
-/// so figure reports and driver reports stay comparable — two scenarios
-/// folding the same observations always produce the same checksum.
-inline constexpr std::uint64_t kChecksumSeed = 0x9E3779B97F4A7C15ULL;
-
-constexpr std::uint64_t checksum_fold(std::uint64_t acc, std::uint64_t v) {
-  return SplitMix64::mix(acc ^ v);
-}
+/// The checksum convention every scenario uses (util/rng.hpp).
+using unisamp::checksum_fold;
+using unisamp::kChecksumSeed;
 
 /// Folds a whole sequence (e.g. a sampler's output stream).
 constexpr std::uint64_t checksum_of(std::span<const std::uint64_t> values) {

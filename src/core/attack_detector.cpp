@@ -1,6 +1,7 @@
 #include "core/attack_detector.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace unisamp {
@@ -23,6 +24,11 @@ AttackDetector::AttackDetector(DetectorConfig config)
           config.heavy_capacity, config.hll_precision, config.seed)) {
   if (config_.window == 0)
     throw std::invalid_argument("window must be positive");
+  // !(x > 0) also rejects NaN; isinf rejects the other non-threshold.
+  if (!(config_.peak_factor > 0.0) || std::isinf(config_.peak_factor))
+    throw std::invalid_argument("peak_factor must be finite and > 0");
+  if (!(config_.flood_factor > 0.0) || std::isinf(config_.flood_factor))
+    throw std::invalid_argument("flood_factor must be finite and > 0");
 }
 
 std::optional<WindowReport> AttackDetector::observe(NodeId id) {

@@ -57,6 +57,9 @@ struct WindowReport {
 
 class AttackDetector {
  public:
+  /// Throws std::invalid_argument for a zero window or heavy_capacity, an
+  /// hll_precision outside [4, 18], or a peak/flood factor that is not
+  /// finite and > 0.
   explicit AttackDetector(DetectorConfig config);
 
   /// Feeds one input-stream id; returns a report when a window closes.

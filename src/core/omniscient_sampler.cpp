@@ -9,7 +9,7 @@ namespace unisamp {
 OmniscientSampler::OmniscientSampler(std::size_t c,
                                      std::vector<double> probabilities,
                                      std::uint64_t seed)
-    : c_(c), p_(std::move(probabilities)), rng_(seed) {
+    : c_(c), p_(std::move(probabilities)), members_(c), rng_(seed) {
   if (c_ == 0) throw std::invalid_argument("memory capacity must be positive");
   if (p_.empty()) throw std::invalid_argument("empty probability vector");
   p_min_ = p_[0];

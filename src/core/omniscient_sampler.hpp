@@ -16,10 +16,10 @@
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "core/sampler.hpp"
+#include "util/flat_set.hpp"
 #include "util/rng.hpp"
 
 namespace unisamp {
@@ -50,11 +50,11 @@ class OmniscientSampler final : public NodeSampler {
   std::size_t c_;
   std::vector<double> p_;
   double p_min_;
-  // Gamma: vector for O(1) uniform picks, hash set for O(1) membership
+  // Gamma: vector for O(1) uniform picks, flat set for O(1) membership
   // (streams are millions of ids and c reaches ~10^3 in the Fig. 10/12
   // sweeps, so the linear scan would dominate).
   std::vector<NodeId> gamma_;
-  std::unordered_set<NodeId> members_;
+  FlatIdSet members_;
   Xoshiro256 rng_;
 };
 

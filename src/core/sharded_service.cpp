@@ -12,15 +12,6 @@ namespace unisamp {
 
 namespace {
 
-// The repo-wide checksum convention (bench_harness/scenario.hpp): fold
-// seed 0x9E3779B97F4A7C15, acc' = mix(acc ^ v).  Re-stated here so core
-// does not depend on the bench_harness layer.
-constexpr std::uint64_t kFoldSeed = 0x9E3779B97F4A7C15ULL;
-
-constexpr std::uint64_t fold(std::uint64_t acc, std::uint64_t v) noexcept {
-  return SplitMix64::mix(acc ^ v);
-}
-
 // Query-RNG derivation tag, far outside any realistic shard index so the
 // per-shard seeds derive_seed(seed, s) can never collide with it.
 constexpr std::uint64_t kQuerySeedTag = 0x5AD5'0000'0000'0001ULL;
@@ -248,18 +239,19 @@ Stream ShardedSamplingService::merged_output_stream() const {
 }
 
 std::uint64_t ShardedSamplingService::state_checksum() const {
-  std::uint64_t acc = kFoldSeed;
+  std::uint64_t acc = kChecksumSeed;
   std::vector<std::pair<NodeId, std::uint64_t>> entries;
   for (const auto& shard : shards_) {
-    acc = fold(acc, shard->processed());
+    acc = checksum_fold(acc, shard->processed());
     entries.assign(shard->output_histogram().raw().begin(),
                    shard->output_histogram().raw().end());
     std::sort(entries.begin(), entries.end());
     for (const auto& [id, count] : entries) {
-      acc = fold(acc, id);
-      acc = fold(acc, count);
+      acc = checksum_fold(acc, id);
+      acc = checksum_fold(acc, count);
     }
-    for (const NodeId id : shard->output_stream()) acc = fold(acc, id);
+    for (const NodeId id : shard->output_stream())
+      acc = checksum_fold(acc, id);
   }
   return acc;
 }

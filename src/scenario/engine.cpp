@@ -48,6 +48,13 @@ Topology build_world(const ScenarioSpec& spec) {
 
 ScenarioEngine::ScenarioEngine(ScenarioSpec spec)
     : spec_(validated(std::move(spec))),
+      // Built here, not in run(), so a bad detector config fails before
+      // the network is.  Its coins are its own (config.seed), never the
+      // network's, so a detector that observes but never triggers a rekey
+      // leaves the run bit-identical.
+      detector_(spec_.defense ? std::optional<AttackDetector>(
+                                    spec_.defense->detector)
+                              : std::nullopt),
       net_(build_world(spec_), spec_.gossip, spec_.sampler),
       malicious_set_(2 * (spec_.gossip.byzantine_count +
                           spec_.gossip.forged_id_count) +
@@ -84,6 +91,26 @@ struct AdversaryGuard {
 };
 }  // namespace
 
+SybilChurnConfig ScenarioEngine::reserve_sybil_mint(const AttackPhase& phase) {
+  SybilChurnConfig cfg;
+  // A live pool the size of the static one, minted ABOVE it so fresh
+  // identities never collide with real nodes or the static forged ids.
+  cfg.pool_size = std::max<std::size_t>(spec_.gossip.forged_id_count, 1);
+  cfg.rotate_every = phase.rotate_every;
+  cfg.flood_factor = spec_.gossip.flood_factor;
+  cfg.first_forged_id = next_sybil_base_;
+  // Reserve this phase's whole mint range (initial pool + one per
+  // rotation) so a LATER churn phase starts on genuinely fresh ids —
+  // re-minting warm identities would undercut both the attack and the
+  // Sybil bill it is supposed to pay.
+  const std::size_t rotations =
+      phase.rotate_every > 0 && phase.rounds > 0
+          ? (phase.rounds - 1) / phase.rotate_every
+          : 0;
+  next_sybil_base_ += static_cast<NodeId>(cfg.pool_size * (1 + rotations));
+  return cfg;
+}
+
 std::unique_ptr<RoundAdversary> ScenarioEngine::make_adversary(
     const AttackPhase& phase) {
   const std::vector<NodeId>& pool = net_.forged_ids();
@@ -101,46 +128,16 @@ std::unique_ptr<RoundAdversary> ScenarioEngine::make_adversary(
       return std::make_unique<EclipseFloodAdversary>(
           pool, EclipseConfig{spec_.victim, spec_.gossip.flood_factor,
                               phase.intensity});
-    case AttackKind::kSybilChurn: {
-      SybilChurnConfig cfg;
-      // A live pool the size of the static one, minted ABOVE it so fresh
-      // identities never collide with real nodes or the static forged ids.
-      cfg.pool_size = std::max<std::size_t>(spec_.gossip.forged_id_count, 1);
-      cfg.rotate_every = phase.rotate_every;
-      cfg.flood_factor = spec_.gossip.flood_factor;
-      cfg.first_forged_id = next_sybil_base_;
-      // Reserve this phase's whole mint range (initial pool + one per
-      // rotation) so a LATER churn phase starts on genuinely fresh ids —
-      // re-minting warm identities would undercut both the attack and the
-      // Sybil bill it is supposed to pay.
-      const std::size_t rotations =
-          phase.rotate_every > 0 && phase.rounds > 0
-              ? (phase.rounds - 1) / phase.rotate_every
-              : 0;
-      next_sybil_base_ +=
-          static_cast<NodeId>(cfg.pool_size * (1 + rotations));
-      return std::make_unique<SybilChurnAdversary>(cfg);
-    }
-    case AttackKind::kColluding: {
-      // Both legs at once: the eclipse leg reuses the static pool; the
-      // churn leg mints above next_sybil_base_ under the same reservation
-      // discipline as a plain kSybilChurn phase.
-      ColludingConfig cfg;
-      cfg.eclipse = EclipseConfig{spec_.victim, spec_.gossip.flood_factor,
-                                  phase.intensity};
-      cfg.churn.pool_size =
-          std::max<std::size_t>(spec_.gossip.forged_id_count, 1);
-      cfg.churn.rotate_every = phase.rotate_every;
-      cfg.churn.flood_factor = spec_.gossip.flood_factor;
-      cfg.churn.first_forged_id = next_sybil_base_;
-      const std::size_t rotations =
-          phase.rotate_every > 0 && phase.rounds > 0
-              ? (phase.rounds - 1) / phase.rotate_every
-              : 0;
-      next_sybil_base_ +=
-          static_cast<NodeId>(cfg.churn.pool_size * (1 + rotations));
-      return std::make_unique<ColludingAdversary>(pool, cfg);
-    }
+    case AttackKind::kSybilChurn:
+      return std::make_unique<SybilChurnAdversary>(reserve_sybil_mint(phase));
+    case AttackKind::kColluding:
+      // Both legs at once: the eclipse leg reuses the static pool, the
+      // churn leg mints like a plain kSybilChurn phase.
+      return std::make_unique<ColludingAdversary>(
+          pool, ColludingConfig{EclipseConfig{spec_.victim,
+                                              spec_.gossip.flood_factor,
+                                              phase.intensity},
+                                reserve_sybil_mint(phase)});
   }
   throw std::invalid_argument("unknown attack kind");
 }
@@ -192,11 +189,7 @@ ScenarioRunReport ScenarioEngine::run() {
     // (the schedule models the POST-stabilisation attack campaign).
     report.churn_events = run_churn_phase(driver, *spec_.churn);
   }
-  // Defense-loop state.  The detector's coins are its own (config.seed),
-  // never the network's, so a detector that observes but never triggers a
-  // rekey leaves the run bit-identical.
-  std::optional<AttackDetector> detector;
-  if (spec_.defense) detector.emplace(spec_.defense->detector);
+  // Defense-loop state.
   std::size_t victim_fed = 0;       // victim input-stream prefix observed
   std::size_t alarmed_windows = 0;  // closed windows with a non-kNone signal
   std::size_t last_rekey_round = 0;
@@ -249,9 +242,9 @@ ScenarioRunReport ScenarioEngine::run() {
       // recorded gossip input suffix, then its workload share — through
       // the tumbling-window detector.
       bool alarmed = false;
-      if (detector) {
+      if (detector_) {
         const auto feed = [&](const NodeId id) {
-          if (const auto window = detector->observe(id)) {
+          if (const auto window = detector_->observe(id)) {
             report.detector_windows.push_back(*window);
             if (window->signal != AttackSignal::kNone) {
               ++alarmed_windows;

@@ -1,11 +1,12 @@
 // Scenario engine: runs a declarative ScenarioSpec end-to-end.
 //
-// Construction builds the overlay and the gossip network; run() constructs
-// ONE SimDriver for the whole experiment (degenerate rounds config unless
-// the spec carries an event TimingSpec), executes the optional pre-T0
-// churn phase as timestamped join/leave events, then the attack schedule,
-// installing the right RoundAdversary (adversary/adaptive.hpp) for each
-// phase and recording a deterministic metrics row at every measure point.
+// Construction builds the defense section's detector, the overlay and the
+// gossip network; run() constructs ONE SimDriver for the whole experiment
+// (degenerate rounds config unless the spec carries an event TimingSpec),
+// executes the optional pre-T0 churn phase as timestamped join/leave
+// events, then the attack schedule, installing the right RoundAdversary
+// (adversary/adaptive.hpp) for each phase and recording a deterministic
+// metrics row at every measure point.
 // In event mode the driver persists across phases, so ids still in flight
 // when a phase ends arrive during the next one.
 //
@@ -41,8 +42,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "adversary/adaptive.hpp"
 #include "scenario/spec.hpp"
 #include "sim/gossip.hpp"
 #include "util/flat_set.hpp"
@@ -88,7 +91,9 @@ struct ScenarioRunReport {
 
 class ScenarioEngine {
  public:
-  /// Validates the spec (scenario::validate) and builds the network.
+  /// Validates the spec (scenario::validate), builds the detector, the
+  /// overlay and the network; a rule any of them owns throws
+  /// std::invalid_argument here, before any round runs.
   explicit ScenarioEngine(ScenarioSpec spec);
 
   /// Executes churn + the attack schedule; one-shot.
@@ -102,10 +107,14 @@ class ScenarioEngine {
 
  private:
   std::unique_ptr<RoundAdversary> make_adversary(const AttackPhase& phase);
+  /// The churn leg of a kSybilChurn or kColluding phase, minted from
+  /// next_sybil_base_, which moves past the phase's whole mint range.
+  SybilChurnConfig reserve_sybil_mint(const AttackPhase& phase);
   void note_malicious(std::span<const NodeId> ids);
   MeasurePoint measure(std::size_t round, std::size_t phase) const;
 
   ScenarioSpec spec_;
+  std::optional<AttackDetector> detector_;  ///< present iff spec_.defense
   GossipNetwork net_;
   // Every malicious identifier seen so far: the byzantine members' own ids,
   // the static forged pool, and whatever the phase adversaries mint.

@@ -199,112 +199,32 @@ std::string_view to_string(DefenseSpec::RekeyPolicy policy) {
 
 namespace {
 
-// Derived node count of a structured family, with overflow guards; returns
-// false on overflow so validate() can reject instead of wrapping.
-bool torus_nodes(const std::vector<std::size_t>& dims, std::size_t& out) {
-  out = 1;
-  for (std::size_t d : dims)
-    if (__builtin_mul_overflow(out, d, &out)) return false;
-  return true;
-}
-
-bool dragonfly_nodes(std::size_t a, std::size_t h, std::size_t p,
-                     std::size_t& out) {
-  std::size_t groups = 0;
-  std::size_t per_group = 0;
-  return !__builtin_mul_overflow(a, h, &groups) &&
-         !__builtin_add_overflow(groups, std::size_t{1}, &groups) &&
-         !__builtin_mul_overflow(a, p + 1, &per_group) &&
-         !__builtin_mul_overflow(groups, per_group, &out);
-}
-
-bool fat_tree_nodes(std::size_t k, std::size_t& out) {
-  const std::size_t half = k / 2;
-  std::size_t pod_size = 0;
-  return !__builtin_mul_overflow(half, half, &pod_size) &&
-         !__builtin_add_overflow(pod_size, k, &pod_size) &&
-         !__builtin_mul_overflow(k, pod_size, &out) &&
-         !__builtin_add_overflow(out, half * half, &out);
-}
-
-void validate_topology(const ScenarioSpec& spec) {
-  const TopologySpec& topo = spec.topology;
+// The node count the topology parameters derive to; the structured
+// families' size functions throw for parameters their builders reject.
+std::size_t derived_nodes(const TopologySpec& topo) {
   switch (topo.kind) {
-    case TopologySpec::Kind::kErdosRenyi:
-      // !(p >= 0) also rejects NaN.
-      if (!(topo.edge_probability >= 0.0 && topo.edge_probability <= 1.0))
-        throw std::invalid_argument(
-            spec.name + ": topology.edge_probability outside [0, 1]");
-      break;
-    case TopologySpec::Kind::kTorus: {
-      if (topo.torus_dims.empty())
-        throw std::invalid_argument(spec.name +
-                                    ": torus needs non-empty torus_dims");
-      for (std::size_t d : topo.torus_dims)
-        if (d < 2)
-          throw std::invalid_argument(
-              spec.name + ": every torus dimension must be >= 2");
-      std::size_t derived = 0;
-      if (!torus_nodes(topo.torus_dims, derived))
-        throw std::invalid_argument(spec.name +
-                                    ": torus dimension product overflows");
-      if (derived != topo.nodes)
-        throw std::invalid_argument(
-            spec.name + ": topology.nodes != product of torus_dims");
-      break;
-    }
-    case TopologySpec::Kind::kDragonfly: {
-      if (topo.dragonfly_routers < 2)
-        throw std::invalid_argument(
-            spec.name + ": dragonfly needs >= 2 routers per group");
-      if (topo.dragonfly_globals < 1)
-        throw std::invalid_argument(
-            spec.name + ": dragonfly needs >= 1 global link per router");
-      std::size_t derived = 0;
-      if (!dragonfly_nodes(topo.dragonfly_routers, topo.dragonfly_globals,
-                           topo.dragonfly_terminals, derived))
-        throw std::invalid_argument(spec.name +
-                                    ": dragonfly node count overflows");
-      if (derived != topo.nodes)
-        throw std::invalid_argument(
-            spec.name +
-            ": topology.nodes != (a*h+1) * a * (terminals+1) for the "
-            "dragonfly parameters");
-      break;
-    }
-    case TopologySpec::Kind::kFatTree: {
-      if (topo.fat_tree_k < 2 || topo.fat_tree_k % 2 != 0)
-        throw std::invalid_argument(
-            spec.name + ": fat_tree_k must be even and >= 2");
-      std::size_t derived = 0;
-      if (!fat_tree_nodes(topo.fat_tree_k, derived))
-        throw std::invalid_argument(spec.name +
-                                    ": fat-tree node count overflows");
-      if (derived != topo.nodes)
-        throw std::invalid_argument(
-            spec.name +
-            ": topology.nodes != k*((k/2)^2 + k) + (k/2)^2 for fat_tree_k");
-      break;
-    }
+    case TopologySpec::Kind::kTorus:
+      return Topology::torus_size(topo.torus_dims);
+    case TopologySpec::Kind::kDragonfly:
+      return Topology::dragonfly_size(topo.dragonfly_routers,
+                                      topo.dragonfly_globals,
+                                      topo.dragonfly_terminals);
+    case TopologySpec::Kind::kFatTree:
+      return Topology::fat_tree_size(topo.fat_tree_k);
     default:
-      break;
+      return topo.nodes;
   }
-  const bool structured = topo.kind == TopologySpec::Kind::kTorus ||
-                          topo.kind == TopologySpec::Kind::kDragonfly ||
-                          topo.kind == TopologySpec::Kind::kFatTree;
-  if (spec.placement.kind != PlacementSpec::Kind::kDefault && !structured)
-    throw std::invalid_argument(
-        spec.name +
-        ": placement kind " + std::string(to_string(spec.placement.kind)) +
-        " needs a structured topology (torus / dragonfly / fat-tree)");
 }
 
 }  // namespace
 
 void validate(const ScenarioSpec& spec) {
-  if (spec.topology.nodes == 0)
-    throw std::invalid_argument(spec.name + ": topology needs nodes");
-  validate_topology(spec);
+  const std::size_t derived = derived_nodes(spec.topology);
+  if (derived != spec.topology.nodes)
+    throw std::invalid_argument(
+        spec.name + ": topology.nodes != " + std::to_string(derived) +
+        ", the node count the " + std::string(to_string(spec.topology.kind)) +
+        " parameters derive");
   if (spec.gossip.byzantine_count >= spec.topology.nodes)
     throw std::invalid_argument(spec.name +
                                 ": at least one correct node required");
@@ -365,22 +285,6 @@ void validate(const ScenarioSpec& spec) {
   }
   if (spec.defense) {
     const DefenseSpec& defense = *spec.defense;
-    if (defense.detector.window == 0)
-      throw std::invalid_argument(spec.name +
-                                  ": defense.detector.window must be >= 1");
-    if (defense.detector.heavy_capacity == 0)
-      throw std::invalid_argument(
-          spec.name + ": defense.detector.heavy_capacity must be >= 1");
-    // !(x > 0) also rejects NaN; isinf rejects the other non-threshold.
-    if (!(defense.detector.peak_factor > 0.0) ||
-        std::isinf(defense.detector.peak_factor))
-      throw std::invalid_argument(
-          spec.name + ": defense.detector.peak_factor must be finite and > 0");
-    if (!(defense.detector.flood_factor > 0.0) ||
-        std::isinf(defense.detector.flood_factor))
-      throw std::invalid_argument(
-          spec.name +
-          ": defense.detector.flood_factor must be finite and > 0");
     // Rekey knobs on a detect-only policy are a latent mistake, not a
     // silent no-op (same rule as event-only knobs on a rounds timing).
     if (defense.rekey == DefenseSpec::RekeyPolicy::kNone &&

@@ -228,17 +228,17 @@ struct ScenarioSpec {
   std::size_t measure_every = 0;
 };
 
-/// Validates the cross-field invariants (victim correct, in range, and
-/// instrumented under observer_stride; schedule non-empty with positive
-/// rounds; adaptive phases backed by a forged pool; intensities in [0, 1];
-/// timing, defense, and workload sections internally consistent —
-/// including workload.id_offset >= kHonestTraceIdBase; per-family topology
-/// parameters well-formed and consistent with `nodes`; non-default
-/// placement only on structured topologies).  Throws std::invalid_argument.  Weak
-/// connectivity among correct nodes at T0 — the paper's standing
-/// assumption, which erdos_renyi in particular does NOT guarantee — is
-/// seed-dependent and therefore checked when the engine builds the world,
-/// not here.
+/// Validates the rules that need the whole spec: `nodes` equals the count
+/// the topology parameters derive to (Topology::torus_size and friends);
+/// the victim is a correct node instrumented under observer_stride; the
+/// schedule is non-empty with positive rounds, intensities in [0, 1], a
+/// forged pool behind flooding phases and no lone colluding member;
+/// timing and rekey knobs match their kind and policy; the workload passes
+/// its own validate() above kHonestTraceIdBase.  Throws
+/// std::invalid_argument.  The overlay builders, placement_nodes and
+/// AttackDetector own every other rule, and ScenarioEngine's constructor
+/// runs them, as it does the seed-dependent check that the correct nodes
+/// are weakly connected at T0 (Sec. III-C; erdos_renyi does not promise it).
 void validate(const ScenarioSpec& spec);
 
 }  // namespace unisamp::scenario

@@ -29,6 +29,12 @@ void check_label_range(std::size_t n, const char* family) {
                                 ": node count exceeds uint32 label space");
 }
 
+// !(p >= 0) also rejects NaN, which would otherwise mean "never".
+void check_probability(double p, const char* what) {
+  if (!(p >= 0.0 && p <= 1.0))
+    throw std::invalid_argument(std::string(what) + " outside [0, 1]");
+}
+
 }  // namespace
 
 Topology::Topology(std::size_t n) : adjacency_(n) {
@@ -67,6 +73,7 @@ Topology Topology::ring(std::size_t n, std::size_t k) {
 }
 
 Topology Topology::erdos_renyi(std::size_t n, double p, std::uint64_t seed) {
+  check_probability(p, "erdos-renyi: edge probability");
   Topology t(n);
   Xoshiro256 rng(seed);
   for (std::size_t a = 0; a < n; ++a)
@@ -96,6 +103,7 @@ Topology Topology::random_regular(std::size_t n, std::size_t d,
 
 Topology Topology::small_world(std::size_t n, std::size_t k, double beta,
                                std::uint64_t seed) {
+  check_probability(beta, "small-world: beta");
   Topology base = ring(n, k);
   if (n < 4) return base;
   Topology t(n);
@@ -120,12 +128,17 @@ Topology Topology::small_world(std::size_t n, std::size_t k, double beta,
   return t;
 }
 
-Topology Topology::torus(std::span<const std::size_t> dims) {
+std::size_t Topology::torus_size(std::span<const std::size_t> dims) {
   if (dims.empty()) throw std::invalid_argument("torus: dims must be non-empty");
   for (std::size_t d : dims)
     if (d < 2) throw std::invalid_argument("torus: every dimension must be >= 2");
   const std::size_t n = checked_product(dims);
   check_label_range(n, "torus");
+  return n;
+}
+
+Topology Topology::torus(std::span<const std::size_t> dims) {
+  const std::size_t n = torus_size(dims);
   Topology t(n);
   for (std::size_t node = 0; node < n; ++node) {
     // +1 neighbour per dimension; add_edge dedups the dims[d] == 2 case
@@ -164,12 +177,8 @@ std::vector<std::size_t> Topology::torus_coords(
   return coords;
 }
 
-Topology Topology::dragonfly(std::size_t routers_per_group,
-                             std::size_t global_links_per_router,
-                             std::size_t terminals_per_router) {
-  const std::size_t a = routers_per_group;
-  const std::size_t h = global_links_per_router;
-  const std::size_t p = terminals_per_router;
+std::size_t Topology::dragonfly_size(std::size_t a, std::size_t h,
+                                     std::size_t p) {
   if (a < 2) throw std::invalid_argument("dragonfly: need >= 2 routers per group");
   if (h < 1) throw std::invalid_argument("dragonfly: need >= 1 global link per router");
   std::size_t groups = 0;
@@ -182,6 +191,18 @@ Topology Topology::dragonfly(std::size_t routers_per_group,
       __builtin_mul_overflow(groups, per_group, &n))
     throw std::invalid_argument("dragonfly: node count overflows");
   check_label_range(n, "dragonfly");
+  return n;
+}
+
+Topology Topology::dragonfly(std::size_t routers_per_group,
+                             std::size_t global_links_per_router,
+                             std::size_t terminals_per_router) {
+  const std::size_t a = routers_per_group;
+  const std::size_t h = global_links_per_router;
+  const std::size_t p = terminals_per_router;
+  const std::size_t n = dragonfly_size(a, h, p);
+  const std::size_t groups = a * h + 1;  // cannot overflow: n did not
+  const std::size_t per_group = a * (p + 1);
 
   Topology t(n);
   // Group G layout: terminals first (router-major), then the a routers.
@@ -230,7 +251,7 @@ Topology Topology::dragonfly(std::size_t routers_per_group,
   return t;
 }
 
-Topology Topology::fat_tree(std::size_t k) {
+std::size_t Topology::fat_tree_size(std::size_t k) {
   if (k < 2 || k % 2 != 0)
     throw std::invalid_argument("fat-tree: k must be even and >= 2");
   const std::size_t half = k / 2;
@@ -242,6 +263,13 @@ Topology Topology::fat_tree(std::size_t k) {
       __builtin_add_overflow(n, half * half, &n))
     throw std::invalid_argument("fat-tree: node count overflows");
   check_label_range(n, "fat-tree");
+  return n;
+}
+
+Topology Topology::fat_tree(std::size_t k) {
+  const std::size_t n = fat_tree_size(k);
+  const std::size_t half = k / 2;
+  const std::size_t pod_size = half * half + k;  // cannot overflow: n did not
 
   Topology t(n);
   // Pod P layout: hosts first (edge-major), then edge switches, then

@@ -33,6 +33,7 @@ class Topology {
   /// Ring where each node links to its k nearest neighbours on each side.
   static Topology ring(std::size_t n, std::size_t k = 1);
   /// Erdos-Renyi G(n, p); NOT guaranteed connected — callers should check.
+  /// Throws std::invalid_argument unless p is in [0, 1] (NaN included).
   static Topology erdos_renyi(std::size_t n, double p, std::uint64_t seed);
   /// Random d-regular-ish overlay: each node IN TURN draws random peers
   /// until it has added d new edges (16*d attempt budget), so — whenever
@@ -45,6 +46,7 @@ class Topology {
   static Topology random_regular(std::size_t n, std::size_t d,
                                  std::uint64_t seed);
   /// Watts-Strogatz small world: ring(k) with each edge rewired w.p. beta.
+  /// Throws std::invalid_argument unless beta is in [0, 1] (NaN included).
   static Topology small_world(std::size_t n, std::size_t k, double beta,
                               std::uint64_t seed);
 
@@ -95,6 +97,17 @@ class Topology {
   /// aggregation and core switches get distinct rows after the racks),
   /// tier = 0 host / 1 edge / 2 aggregation / 3 core.
   static Topology fat_tree(std::size_t k);
+
+  /// Node counts the three structured builders above derive from their
+  /// parameters.  Each throws std::invalid_argument for exactly the
+  /// parameters its builder rejects — a bad shape, an overflowing product,
+  /// or a count past the uint32 label space — and allocates nothing, so a
+  /// spec can be checked against them before any graph is built.
+  static std::size_t torus_size(std::span<const std::size_t> dims);
+  static std::size_t dragonfly_size(std::size_t routers_per_group,
+                                    std::size_t global_links_per_router,
+                                    std::size_t terminals_per_router);
+  static std::size_t fat_tree_size(std::size_t k);
 
   /// Decodes a torus node index into coordinates under `dims` (dimension 0
   /// fastest) — the inverse of the torus() index encoding.

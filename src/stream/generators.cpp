@@ -37,14 +37,6 @@ std::vector<double> truncated_poisson_weights(std::size_t n, double lambda) {
   return w;
 }
 
-std::vector<double> peak_weights(std::size_t n, std::size_t peak_id,
-                                 double peak_weight, double base_weight) {
-  if (peak_id >= n) throw std::invalid_argument("peak id out of domain");
-  std::vector<double> w(n, base_weight);
-  w[peak_id] = peak_weight;
-  return w;
-}
-
 WeightedStreamGenerator::WeightedStreamGenerator(
     std::span<const double> weights, std::uint64_t seed)
     : sampler_(weights), rng_(seed) {}

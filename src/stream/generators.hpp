@@ -36,11 +36,6 @@ std::vector<double> zipf_weights(std::size_t n, double alpha);
 /// Computed in log-space so large lambda does not overflow.
 std::vector<double> truncated_poisson_weights(std::size_t n, double lambda);
 
-/// Peak weights: id `peak_id` has weight peak_count, all other ids
-/// base_count (exact-frequency analogue built by peak_attack_counts below).
-std::vector<double> peak_weights(std::size_t n, std::size_t peak_id,
-                                 double peak_weight, double base_weight);
-
 /// --- Generators ------------------------------------------------------------
 
 /// I.i.d. draws from a fixed weight vector; ids are the weight indices.

@@ -40,6 +40,17 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+/// The repo-wide checksum convention: start from kChecksumSeed and fold
+/// each observed value with checksum_fold.  One definition, so figure
+/// sidecars, bench kernels and state checksums stay comparable — two
+/// folds over the same observations always produce the same checksum.
+inline constexpr std::uint64_t kChecksumSeed = 0x9E3779B97F4A7C15ULL;
+
+constexpr std::uint64_t checksum_fold(std::uint64_t acc,
+                                      std::uint64_t v) noexcept {
+  return SplitMix64::mix(acc ^ v);
+}
+
 /// xoshiro256** — fast, high-quality PRNG; satisfies UniformRandomBitGenerator
 /// so it can drive std::<distribution> objects.
 class Xoshiro256 {

@@ -80,14 +80,4 @@ double chi_square_critical(std::size_t dof, double alpha) {
   return d * t * t * t;
 }
 
-std::vector<double> normalized_histogram(std::span<const std::uint64_t> ids,
-                                         std::uint64_t domain) {
-  std::vector<double> h(domain, 0.0);
-  if (ids.empty()) return h;
-  const double inv = 1.0 / static_cast<double>(ids.size());
-  for (auto id : ids)
-    if (id < domain) h[id] += inv;
-  return h;
-}
-
 }  // namespace unisamp

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace unisamp {
 
@@ -30,9 +29,5 @@ double chi_square_statistic(std::span<const std::uint64_t> observed,
 /// approximation.  Accurate to a few percent for dof >= 10, which is all the
 /// tests need.
 double chi_square_critical(std::size_t dof, double alpha);
-
-/// Empirical frequencies (normalised counts) of ids in [0, domain).
-std::vector<double> normalized_histogram(std::span<const std::uint64_t> ids,
-                                         std::uint64_t domain);
 
 }  // namespace unisamp

@@ -20,25 +20,6 @@ TEST(SybilBudget, AllocatesDisjointIds) {
   }
 }
 
-TEST(PeakAttack, ComposesExactCounts) {
-  const std::vector<std::uint64_t> base(100, 50);
-  const auto attack = make_peak_attack(base, 50000, 3);
-  EXPECT_EQ(attack.stream.size(), 100u * 50u + 50000u);
-  EXPECT_EQ(attack.malicious_ids.size(), 1u);
-  EXPECT_EQ(attack.injected, 50000u);
-  FrequencyHistogram h;
-  h.add_stream(attack.stream);
-  EXPECT_EQ(h.count(attack.malicious_ids[0]), 50000u);
-  EXPECT_EQ(h.count(0), 50u);
-  EXPECT_EQ(h.max_frequency(), 50000u);
-}
-
-TEST(PeakAttack, ForgedIdOutsideBaseDomain) {
-  const std::vector<std::uint64_t> base(10, 1);
-  const auto attack = make_peak_attack(base, 100, 1);
-  EXPECT_GE(attack.malicious_ids[0], 10u);
-}
-
 TEST(TargetedAttack, UsesRequestedDistinctIds) {
   const std::vector<std::uint64_t> base(100, 10);
   const auto attack = make_targeted_attack(base, 38, 20, 7);

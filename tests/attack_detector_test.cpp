@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "adversary/attacks.hpp"
 #include "stream/generators.hpp"
 
@@ -22,6 +25,18 @@ TEST(AttackDetector, RejectsZeroWindow) {
   DetectorConfig cfg = detector_cfg();
   cfg.window = 0;
   EXPECT_THROW(AttackDetector{cfg}, std::invalid_argument);
+}
+
+TEST(AttackDetector, RejectsNonFiniteOrNonPositiveFactors) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0}) {
+    DetectorConfig cfg = detector_cfg();
+    cfg.peak_factor = bad;
+    EXPECT_THROW(AttackDetector{cfg}, std::invalid_argument) << bad;
+    cfg = detector_cfg();
+    cfg.flood_factor = bad;
+    EXPECT_THROW(AttackDetector{cfg}, std::invalid_argument) << bad;
+  }
 }
 
 TEST(AttackDetector, SilentOnBenignUniformStream) {

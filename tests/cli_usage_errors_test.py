@@ -4,8 +4,8 @@
 Usage: cli_usage_errors_test.py PATH/TO/unisamp_cli
 
 Runs the CLI on malformed numbers (signs, padding, junk, nan), gen-attack
-without 1 <= n <= m, effort's eta outside (0, 1) and an unknown
---strategy, and asserts exit status
+without 1 <= n <= m, effort's eta outside (0, 1), detect's --window=0 and
+an unknown --strategy, and asserts exit status
 exactly 2 with the usage text on stderr: not 1 (a runtime failure), not a
 signal (a crash), not 0 (a silently misread value).
 
@@ -46,6 +46,7 @@ def main(argv):
             ["run", trace, out, "--c= 5"],
             ["run", trace, out, "--seed=-1"],
             ["detect", trace, "--window=+10"],
+            ["detect", trace, "--window=0"],
             ["effort", "10", "1e3", "0.5"],
             ["effort", "10", "5", "0.5x"],
             ["effort", "10", "5", "abc"],

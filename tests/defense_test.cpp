@@ -179,33 +179,46 @@ void expect_identical_runs(const ScenarioSpec& a, const ScenarioSpec& b) {
         << "node " << i;
 }
 
-TEST(DefenseSpecTest, ValidateRejectsBadDefenseSections) {
+TEST(DefenseEngineTest, RejectsBadDetectorConfigs) {
+  // The detector's own rules fire when the engine is built.
   ScenarioSpec spec = base_spec();
   spec.defense = DefenseSpec{};
-  EXPECT_NO_THROW(validate(spec));
+  EXPECT_NO_THROW(ScenarioEngine{spec});
 
   spec.defense->detector.window = 0;
-  EXPECT_THROW(validate(spec), std::invalid_argument);
+  EXPECT_THROW(ScenarioEngine{spec}, std::invalid_argument);
 
   spec = base_spec();
   spec.defense = DefenseSpec{};
   spec.defense->detector.heavy_capacity = 0;
-  EXPECT_THROW(validate(spec), std::invalid_argument);
+  EXPECT_THROW(ScenarioEngine{spec}, std::invalid_argument);
 
   spec = base_spec();
   spec.defense = DefenseSpec{};
   spec.defense->detector.peak_factor =
       std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(validate(spec), std::invalid_argument);
+  EXPECT_THROW(ScenarioEngine{spec}, std::invalid_argument);
   spec.defense->detector.peak_factor = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(validate(spec), std::invalid_argument);
+  EXPECT_THROW(ScenarioEngine{spec}, std::invalid_argument);
   spec.defense->detector.peak_factor = 8.0;
   spec.defense->detector.flood_factor = 0.0;
-  EXPECT_THROW(validate(spec), std::invalid_argument);
+  EXPECT_THROW(ScenarioEngine{spec}, std::invalid_argument);
+}
 
-  // Rekey knobs on a detect-only policy: latent mistake, not a no-op.
-  spec = base_spec();
+TEST(DefenseEngineTest, RejectsBadHllPrecisionAtConstruction) {
+  // An HLL precision outside [4, 18] must fail when the engine is built,
+  // not on the first round of run().
+  ScenarioSpec spec = base_spec();
   spec.defense = DefenseSpec{};
+  spec.defense->detector.hll_precision = 2;
+  EXPECT_THROW(ScenarioEngine{spec}, std::invalid_argument);
+}
+
+TEST(DefenseSpecTest, ValidateRejectsBadDefenseSections) {
+  // Rekey knobs on a detect-only policy: latent mistake, not a no-op.
+  ScenarioSpec spec = base_spec();
+  spec.defense = DefenseSpec{};
+  EXPECT_NO_THROW(validate(spec));
   spec.defense->rekey_cooldown = 5;
   EXPECT_THROW(validate(spec), std::invalid_argument);
   spec.defense->rekey_cooldown = 0;

@@ -112,33 +112,57 @@ TEST(ScenarioSpecTest, ValidateRejectsBadStructuredTopologies) {
   spec.topology.nodes = 36;
   spec.victim = 35;
   EXPECT_NO_THROW(validate(spec));
-
-  // Erdos-Renyi: probability outside [0, 1] (and NaN) rejected.
-  spec = base_spec();
-  spec.topology.kind = TopologySpec::Kind::kErdosRenyi;
-  spec.topology.edge_probability = 1.5;
-  EXPECT_THROW(validate(spec), std::invalid_argument);
-  spec.topology.edge_probability = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(validate(spec), std::invalid_argument);
-  spec.topology.edge_probability = 0.4;
-  EXPECT_NO_THROW(validate(spec));
 }
 
-TEST(ScenarioSpecTest, ValidateRejectsPlacementWithoutStructuredTopology) {
+TEST(ScenarioSpecTest, ValidateRejectsTorusPastTheLabelSpace) {
+  // 65536 * 65537 nodes fit a size_t but not the uint32 adjacency labels:
+  // Topology::torus rejects it, so validate must too, even when `nodes`
+  // agrees with the product.
+  ScenarioSpec spec = base_spec();
+  spec.topology.kind = TopologySpec::Kind::kTorus;
+  spec.topology.torus_dims = {65536, 65537};
+  spec.topology.nodes = std::size_t{65536} * 65537;
+  spec.victim = spec.topology.nodes - 1;
+  EXPECT_THROW(validate(spec), std::invalid_argument);
+}
+
+TEST(ScenarioEngineTest, RejectsOverlayProbabilitiesOutsideUnitInterval) {
+  // Erdos-Renyi p and small-world beta outside [0, 1] (and NaN) are
+  // rejected by the overlay builders when the engine builds the world.
+  ScenarioSpec spec = base_spec();
+  spec.topology.kind = TopologySpec::Kind::kErdosRenyi;
+  spec.topology.edge_probability = 1.5;
+  EXPECT_THROW(ScenarioEngine{spec}, std::invalid_argument);
+  spec.topology.edge_probability = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ScenarioEngine{spec}, std::invalid_argument);
+  spec.topology.edge_probability = 0.4;
+  EXPECT_NO_THROW(ScenarioEngine{spec});
+
+  spec = base_spec();
+  spec.topology.kind = TopologySpec::Kind::kSmallWorld;
+  spec.topology.beta = 1.5;
+  EXPECT_THROW(ScenarioEngine{spec}, std::invalid_argument);
+  spec.topology.beta = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ScenarioEngine{spec}, std::invalid_argument);
+  spec.topology.beta = 0.2;
+  EXPECT_NO_THROW(ScenarioEngine{spec});
+}
+
+TEST(ScenarioEngineTest, RejectsPlacementWithoutStructuredTopology) {
   ScenarioSpec spec = base_spec();  // complete topology: unstructured
   spec.placement.kind = PlacementSpec::Kind::kSingleGroup;
-  EXPECT_THROW(validate(spec), std::invalid_argument);
+  EXPECT_THROW(ScenarioEngine{spec}, std::invalid_argument);
   spec.placement.kind = PlacementSpec::Kind::kScattered;
-  EXPECT_THROW(validate(spec), std::invalid_argument);
+  EXPECT_THROW(ScenarioEngine{spec}, std::invalid_argument);
   spec.placement.kind = PlacementSpec::Kind::kDefault;
-  EXPECT_NO_THROW(validate(spec));
+  EXPECT_NO_THROW(ScenarioEngine{spec});
 
   // The same placement is fine once the topology is structured.
   spec.topology.kind = TopologySpec::Kind::kTorus;
   spec.topology.torus_dims = {4, 5};
   spec.topology.nodes = 20;
   spec.placement.kind = PlacementSpec::Kind::kScattered;
-  EXPECT_NO_THROW(validate(spec));
+  EXPECT_NO_THROW(ScenarioEngine{spec});
   EXPECT_EQ(to_string(PlacementSpec::Kind::kSingleRow), "single-row");
 }
 

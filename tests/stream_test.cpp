@@ -85,13 +85,6 @@ TEST(TruncatedPoissonWeights, RejectsBadParams) {
   EXPECT_THROW(truncated_poisson_weights(10, 0.0), std::invalid_argument);
 }
 
-TEST(PeakWeights, ShapesCorrectly) {
-  const auto w = peak_weights(5, 2, 100.0, 1.0);
-  EXPECT_DOUBLE_EQ(w[2], 100.0);
-  EXPECT_DOUBLE_EQ(w[0], 1.0);
-  EXPECT_THROW(peak_weights(5, 7, 1.0, 1.0), std::invalid_argument);
-}
-
 TEST(WeightedStreamGenerator, DeterministicBySeed) {
   const auto w = zipf_weights(50, 1.0);
   WeightedStreamGenerator g1(w, 42), g2(w, 42), g3(w, 43);

@@ -15,7 +15,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "scenario/spec.hpp"
@@ -384,6 +386,39 @@ TEST(RandomRegular, DegreesFollowTheDocumentedContract) {
       }
     }
   }
+}
+
+// ------------------------------------------------------- builder rejections
+
+TEST(OverlayProbabilities, BuildersRejectValuesOutsideUnitInterval) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {nan, 1.5, -0.1}) {
+    EXPECT_THROW((void)Topology::small_world(20, 2, bad, 1),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW((void)Topology::erdos_renyi(20, bad, 1),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(Topology::small_world(20, 2, 1.0, 1).size(), 20u);
+  EXPECT_EQ(Topology::erdos_renyi(20, 0.0, 1).edge_count(), 0u);
+}
+
+TEST(StructuredSizes, MatchTheBuildersAndRejectWhatTheyReject) {
+  const std::vector<std::size_t> dims{4, 5, 3};
+  EXPECT_EQ(Topology::torus_size(dims), Topology::torus(dims).size());
+  EXPECT_EQ(Topology::dragonfly_size(4, 2, 3),
+            Topology::dragonfly(4, 2, 3).size());
+  EXPECT_EQ(Topology::fat_tree_size(4), Topology::fat_tree(4).size());
+
+  const std::vector<std::size_t> past_uint32{65536, 65537};
+  EXPECT_THROW((void)Topology::torus_size(past_uint32), std::invalid_argument);
+  EXPECT_THROW((void)Topology::torus_size({}), std::invalid_argument);
+  EXPECT_THROW((void)Topology::dragonfly_size(1, 1, 1), std::invalid_argument);
+  EXPECT_THROW((void)Topology::dragonfly_size(2, 0, 1), std::invalid_argument);
+  EXPECT_THROW((void)Topology::fat_tree_size(3), std::invalid_argument);
+  EXPECT_THROW((void)Topology::fat_tree_size(std::size_t{1} << 40),
+               std::invalid_argument);
 }
 
 // --------------------------------------------------- front_loaded relabel

@@ -223,15 +223,6 @@ TEST(Stats, ChiSquareCriticalValuesSane) {
   EXPECT_NEAR(chi_square_critical(50, 0.01), 76.154, 1.5);
 }
 
-TEST(Stats, NormalizedHistogramSumsToOne) {
-  const std::vector<std::uint64_t> ids = {0, 1, 1, 2, 2, 2};
-  const auto h = normalized_histogram(ids, 4);
-  EXPECT_NEAR(h[0], 1.0 / 6.0, 1e-12);
-  EXPECT_NEAR(h[1], 2.0 / 6.0, 1e-12);
-  EXPECT_NEAR(h[2], 3.0 / 6.0, 1e-12);
-  EXPECT_DOUBLE_EQ(h[3], 0.0);
-}
-
 TEST(FlatIdSet, MatchesReferenceSetUnderRandomChurn) {
   // Random insert/erase/contains churn, checked against std::set — covers
   // collision runs, wraparound, and backward-shift deletion.

@@ -12,7 +12,7 @@
 // Exit status: 0 = success, 1 = runtime failure (e.g. an unreadable or
 // malformed trace, or an omniscient run on an id above 2^24 - 1), 2 = usage
 // error (unknown command or option value, malformed number, gen-attack
-// without 1 <= n <= m, effort's eta outside (0, 1)).
+// without 1 <= n <= m, effort's eta outside (0, 1), detect's --window=0).
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -230,6 +230,7 @@ int cmd_detect(int argc, char** argv) {
   DetectorConfig cfg;
   cfg.window = flag_value(argc, argv, "window", v) ? arg_u64(v.c_str())
                                                    : 10000;
+  if (cfg.window == 0) throw UsageError("--window must be positive");
   cfg.heavy_capacity = 256;
   const Stream trace = load_stream_text(argv[0]);
   AttackDetector detector(cfg);
