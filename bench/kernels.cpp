@@ -97,9 +97,8 @@ Stream make_zipf_stream(std::uint64_t items, std::uint64_t seed) {
   return gen.take(items);
 }
 
-/// service/sharded_ingest runs S = 4 shards fed by 8 producers.
+/// service/sharded_ingest runs S = 4 shards.
 constexpr std::size_t kShards = 4;
-constexpr std::size_t kProducers = 8;
 
 std::vector<bh::Scenario> kernel_scenarios() {
   std::vector<bh::Scenario> out;
@@ -233,15 +232,14 @@ std::vector<bh::Scenario> kernel_scenarios() {
          }});
   }
 
-  // -- the sharded concurrent ingest front: S = 4 sampler shards fed by
-  //    8 producers through per-(producer, shard) SPSC queues.  The
-  //    checksum depends on the shard count (different partitions,
-  //    different per-shard seeds) but never on the producer count —
-  //    ShardedServiceTest pins that across an S x N matrix.
+  // -- the sharded concurrent ingest front: S = 4 sampler shards fed
+  //    through parallel_for_index.  The checksum depends on the shard
+  //    count (different partitions, different per-shard seeds) but never
+  //    on the thread count — ShardedServiceTest pins that across an
+  //    S x threads matrix.
   {
     add({"service/sharded_ingest",
-         "ShardedSamplingService ingest, kf strategy, 4 shards x 8 "
-         "producers",
+         "ShardedSamplingService ingest, kf strategy, 4 shards",
          2'000'000, 100'000,
          [stream](std::uint64_t items, std::uint64_t seed) {
            const Stream& in = stream->get(items, seed, make_zipf_stream);
@@ -253,7 +251,6 @@ std::vector<bh::Scenario> kernel_scenarios() {
            config.base.seed = derive_seed(seed, 42);
            config.base.record_output = false;
            config.shard_count = kShards;
-           config.producer_threads = kProducers;
            ShardedSamplingService service(std::move(config));
            service.ingest(in);
            // Fold the merged per-id emission counts over the domain

@@ -6,8 +6,8 @@
 // the id space across S independent SamplingService shards by
 // SplitMix64::mix(id) % S — every occurrence of an id lands on the same
 // shard, so each shard runs the unmodified Algorithm 3 over a well-defined
-// sub-stream — and feeds them through bounded SPSC queues
-// (util/bounded_queue.hpp) from N producer threads.
+// sub-stream — and feeds the shards their sub-streams concurrently through
+// parallel_for_index (util/parallel.hpp), one index per shard.
 //
 // Determinism contract (the load-bearing property, mirrored from
 // util/parallel.hpp's trial-order reduction):
@@ -16,11 +16,10 @@
 //    draws, state_checksum() — is the CANONICAL SERIALIZATION: partition
 //    the input in arrival order into per-shard sub-streams, run each shard
 //    serially over its sub-stream, reduce shard outputs in shard order.
-//  - ingest() produces exactly that for ANY producer thread count, queue
-//    capacity, consumer batching, or scheduling: per-(producer, shard)
-//    queues are FIFO, producer chunks are contiguous, and each shard
-//    consumer drains producers in index order, so shard sub-streams are
-//    reassembled in arrival order.  Threads only change wall clock.
+//  - ingest() partitions on the calling thread, in arrival order, and each
+//    shard is then touched by exactly one worker, so the result is that
+//    serialization for any trial_threads() count.  Threads only change
+//    wall clock.
 //  - Shard seeds are derive_seed(base.seed, shard): with S = 1 the whole
 //    service is bit-identical to one SamplingService configured with seed
 //    derive_seed(base.seed, 0) (differential-tested).
@@ -29,13 +28,13 @@
 // omniscient shard fed an unknown id), that shard stops at the throw point
 // with partial state accounted per SamplingService's own contract, every
 // OTHER shard still receives its complete sub-stream, and the first
-// exception in shard order is rethrown after the pipeline drains — the
+// exception in shard order is rethrown once every shard is done — the
 // same state the canonical serialization reaches, for any thread count.
 //
-// Thread-safety: ingest() runs the internal pipeline concurrently but the
-// service object itself serves one caller at a time; queries
-// (sample(), merged_* , state_checksum()) need external exclusion against
-// ingest(), exactly like SamplingService.
+// Thread-safety: ingest() feeds the shards concurrently but the service
+// object itself serves one caller at a time; queries (sample(),
+// merged_* , state_checksum()) need external exclusion against ingest(),
+// exactly like SamplingService.
 #pragma once
 
 #include <cstddef>
@@ -56,11 +55,7 @@ namespace unisamp {
 /// derive_seed(base.seed, s), the query RNG at a separate derivation).
 struct ShardedServiceConfig {
   ServiceConfig base;
-  std::size_t shard_count = 1;       ///< S independent sampler shards
-  std::size_t producer_threads = 1;  ///< N ingest partitioning threads
-  std::size_t queue_capacity = 4096; ///< per-(producer, shard) ring slots,
-                                     ///< 1..2^20 (validated at construction)
-  std::size_t consumer_batch = 1024; ///< ids staged per on_receive_stream
+  std::size_t shard_count = 1;  ///< S independent sampler shards
 };
 
 class ShardedSamplingService {
@@ -72,16 +67,10 @@ class ShardedSamplingService {
     return static_cast<std::size_t>(SplitMix64::mix(id) % shards);
   }
 
-  /// Absorbs a stream through the concurrent pipeline (N producers, S
-  /// consumers).  Blocking; returns once every id is fully accounted.
-  /// Output is bit-identical to ingest_serial for any thread count.
+  /// Absorbs a stream: partitions it by shard_of, then feeds every shard
+  /// its sub-stream concurrently.  Blocking; returns once every id is fully
+  /// accounted.  Output is the canonical serialization for any thread count.
   void ingest(std::span<const NodeId> ids);
-
-  /// The canonical serialization: partition in arrival order, feed each
-  /// shard serially, in shard order.  The differential reference for
-  /// ingest() — and the fast path ingest() takes when one producer (or one
-  /// shard) makes the pipeline pure overhead.
-  void ingest_serial(std::span<const NodeId> ids);
 
   /// getsample over the union of shard memories: a shard is picked with
   /// probability |Gamma_s| / sum |Gamma|, then answers with its own
@@ -110,11 +99,9 @@ class ShardedSamplingService {
   std::uint64_t state_checksum() const;
 
  private:
-  void ingest_pipeline(std::span<const NodeId> ids, std::size_t producers);
-
   ShardedServiceConfig config_;
   std::vector<std::unique_ptr<SamplingService>> shards_;
-  // Serial-path partition buffers, reused so steady state allocates nothing.
+  // Per-shard partition buffers, reused so steady state allocates nothing.
   std::vector<std::vector<NodeId>> staging_;
   Xoshiro256 query_rng_;
 };

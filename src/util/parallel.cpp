@@ -54,14 +54,11 @@ void parallel_for_index(std::size_t count,
                         const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
 
-  const std::size_t workers = std::min(trial_threads(), count);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-
   std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
+  // The lowest failing index and its exception: which error surfaces must
+  // not depend on which worker happened to throw first.
+  std::size_t error_index = count;
+  std::exception_ptr error;
   std::mutex error_mutex;
 
   auto worker_loop = [&] {
@@ -72,11 +69,16 @@ void parallel_for_index(std::size_t count,
         body(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
+        }
       }
     }
   };
 
+  // The caller is one of the workers; with one worker no thread spawns.
+  const std::size_t workers = std::min(trial_threads(), count);
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);
   for (std::size_t w = 1; w < workers; ++w) {
@@ -89,7 +91,7 @@ void parallel_for_index(std::size_t count,
   worker_loop();
   for (std::thread& t : pool) t.join();
 
-  if (first_error) std::rethrow_exception(first_error);
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace unisamp

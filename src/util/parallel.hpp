@@ -41,10 +41,12 @@ std::size_t trial_threads();
 void set_trial_threads(std::size_t count);
 
 /// Runs `body(i)` for every i in [0, count) across `trial_threads()`
-/// workers (inline when a single worker suffices).  Indices are handed out
-/// by an atomic counter, so `body` must be safe to call concurrently for
-/// distinct indices.  The first exception thrown by any index is rethrown
-/// to the caller after all workers finish.
+/// workers, the calling thread among them (no thread spawns when a single
+/// worker suffices).  Indices are handed out by an atomic counter, so
+/// `body` must be safe to call concurrently for distinct indices.  Every
+/// index runs even when others throw; once all have finished, the
+/// exception of the LOWEST failing index is rethrown — the same one for
+/// any thread count or scheduling.
 void parallel_for_index(std::size_t count,
                         const std::function<void(std::size_t)>& body);
 

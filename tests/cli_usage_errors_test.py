@@ -4,10 +4,12 @@
 Usage: cli_usage_errors_test.py PATH/TO/unisamp_cli
 
 Runs the CLI on malformed numbers (signs, padding, junk, nan), gen-attack
-without 1 <= n <= m, effort's eta outside (0, 1), detect's --window=0 and
-an unknown --strategy, and asserts exit status
-exactly 2 with the usage text on stderr: not 1 (a runtime failure), not a
-signal (a crash), not 0 (a silently misread value).
+without 1 <= n <= m, run's sampler sizes out of range (--c outside
+[1, 2^20], --s outside [1, 64], --k * --s above 2^24 counters), effort's
+eta outside (0, 1), detect's --window=0 and an unknown --strategy, and
+asserts exit status exactly 2 with the usage text on stderr: not 1 (a
+runtime failure), not a signal (a crash), not 0 (a silently misread
+value).
 
 Then runs `run --strategy=omniscient` on well-formed traces whose ids are
 too large for its dense probability vector (2^64 - 1, which wraps the
@@ -45,6 +47,12 @@ def main(argv):
             ["run", trace, out, "--strategy=bogus"],
             ["run", trace, out, "--c= 5"],
             ["run", trace, out, "--seed=-1"],
+            ["run", trace, out, "--c=0"],
+            ["run", trace, out, "--k=0"],
+            ["run", trace, out, "--s=0"],
+            ["run", trace, out, "--s=65"],
+            ["run", trace, out, "--c=1048577"],
+            ["run", trace, out, "--k=4194304", "--s=5"],
             ["detect", trace, "--window=+10"],
             ["detect", trace, "--window=0"],
             ["effort", "10", "1e3", "0.5"],

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
@@ -125,6 +126,29 @@ TEST(ParallelTest, ExceptionsPropagateToCaller) {
                            if (i == 17) throw std::runtime_error("trial 17");
                          }),
       std::runtime_error);
+}
+
+// When several indices throw, the caller sees the LOWEST index's exception,
+// not whichever was thrown first in wall-clock time: index 7 throws at
+// once, index 2 only after a sleep, and index 2 must win at every thread
+// count.
+TEST(ParallelTest, LowestFailingIndexIsRethrown) {
+  ThreadCountGuard guard;
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    set_trial_threads(threads);
+    try {
+      parallel_for_index(8, [](std::size_t i) {
+        if (i == 7) throw std::runtime_error("index 7");
+        if (i == 2) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          throw std::runtime_error("index 2");
+        }
+      });
+      ADD_FAILURE() << "no exception with " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "index 2") << threads << " threads";
+    }
+  }
 }
 
 TEST(ParallelTest, ThreadCountOverrideAndReset) {

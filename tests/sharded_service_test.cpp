@@ -1,21 +1,24 @@
 // The determinism contract of ShardedSamplingService, tested
-// differentially: for any shard count S, ingest() through the concurrent
-// pipeline must be bit-identical to the canonical serialization
-// (ingest_serial), for every producer thread count, queue capacity and
-// consumer batch size; and with S = 1 the whole service must collapse to a
-// plain SamplingService seeded with derive_seed(base.seed, 0).
+// differentially: for any shard count S, ingest() must be bit-identical to
+// the canonical serialization (CanonicalOracle below: S plain
+// SamplingServices fed their shard_of sub-streams one after another) for
+// every worker thread count; and with S = 1 the whole service must
+// collapse to a plain SamplingService seeded with derive_seed(base.seed, 0).
 #include "core/sharded_service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "core/sampling_service.hpp"
 #include "stream/generators.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace unisamp {
@@ -26,8 +29,7 @@ Stream biased_stream(std::size_t n, std::size_t m, std::uint64_t seed) {
   return gen.take(m);
 }
 
-ShardedServiceConfig config_for(std::size_t shards, std::size_t producers,
-                                bool record = true) {
+ShardedServiceConfig config_for(std::size_t shards, bool record = true) {
   ShardedServiceConfig config;
   config.base.strategy = Strategy::kKnowledgeFree;
   config.base.memory_size = 8;  // small c so evictions (and coins) happen
@@ -36,12 +38,70 @@ ShardedServiceConfig config_for(std::size_t shards, std::size_t producers,
   config.base.seed = 123;
   config.base.record_output = record;
   config.shard_count = shards;
-  config.producer_threads = producers;
   return config;
 }
 
+/// Restores automatic thread resolution even if a test fails mid-way.
+class ThreadCountGuard {
+ public:
+  ~ThreadCountGuard() { set_trial_threads(0); }
+};
+
+/// The canonical serialization, kept outside the library as the reference:
+/// S plain SamplingServices seeded derive_seed(base.seed, s), the input
+/// partitioned in arrival order with shard_of, each shard fed its
+/// sub-stream serially in shard order.  A throwing shard stops there, the
+/// later shards are still fed, and the first failure in shard order is
+/// rethrown at the end.
+class CanonicalOracle {
+ public:
+  explicit CanonicalOracle(const ShardedServiceConfig& config) {
+    for (std::size_t s = 0; s < config.shard_count; ++s) {
+      ServiceConfig shard_cfg = config.base;
+      shard_cfg.seed = derive_seed(config.base.seed, s);
+      shards_.push_back(std::make_unique<SamplingService>(shard_cfg));
+    }
+  }
+
+  void ingest(std::span<const NodeId> ids) {
+    std::vector<Stream> sub_streams(shards_.size());
+    for (const NodeId id : ids)
+      sub_streams[ShardedSamplingService::shard_of(id, shards_.size())]
+          .push_back(id);
+    std::exception_ptr first_error;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      try {
+        shards_[s]->on_receive_stream(sub_streams[s]);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
+  }
+
+  const SamplingService& shard(std::size_t s) const { return *shards_[s]; }
+
+ private:
+  std::vector<std::unique_ptr<SamplingService>> shards_;
+};
+
+void expect_matches(const CanonicalOracle& oracle,
+                    const ShardedSamplingService& sharded) {
+  std::uint64_t processed = 0;
+  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+    SCOPED_TRACE(::testing::Message() << "shard " << s);
+    EXPECT_EQ(sharded.shard(s).processed(), oracle.shard(s).processed());
+    EXPECT_EQ(sharded.shard(s).output_stream(),
+              oracle.shard(s).output_stream());
+    EXPECT_EQ(sharded.shard(s).output_histogram(),
+              oracle.shard(s).output_histogram());
+    processed += oracle.shard(s).processed();
+  }
+  EXPECT_EQ(sharded.processed(), processed);
+}
+
 void expect_identical(const ShardedSamplingService& a,
-                      ShardedSamplingService& b) {
+                      const ShardedSamplingService& b) {
   EXPECT_EQ(a.processed(), b.processed());
   EXPECT_EQ(a.merged_output_stream(), b.merged_output_stream());
   EXPECT_EQ(a.merged_histogram(), b.merged_histogram());
@@ -64,21 +124,7 @@ TEST(ShardedServiceTest, ShardOfIsStableAndInRange) {
 }
 
 TEST(ShardedServiceTest, RejectsDegenerateConfig) {
-  auto cfg = config_for(0, 1);
-  EXPECT_THROW(ShardedSamplingService{cfg}, std::invalid_argument);
-  cfg = config_for(2, 0);
-  EXPECT_THROW(ShardedSamplingService{cfg}, std::invalid_argument);
-  cfg = config_for(2, 2);
-  cfg.consumer_batch = 0;
-  EXPECT_THROW(ShardedSamplingService{cfg}, std::invalid_argument);
-  cfg = config_for(2, 2);
-  cfg.queue_capacity = 0;
-  EXPECT_THROW(ShardedSamplingService{cfg}, std::invalid_argument);
-  cfg = config_for(2, 2);
-  // Above the documented 2^20 cap: must throw instead of attempting (or
-  // hanging on) an absurd per-queue allocation.
-  cfg.queue_capacity = (std::size_t{1} << 20) + 1;
-  EXPECT_THROW(ShardedSamplingService{cfg}, std::invalid_argument);
+  EXPECT_THROW(ShardedSamplingService{config_for(0)}, std::invalid_argument);
 }
 
 // With one shard the service is the paper's unmodified sampling service:
@@ -87,8 +133,8 @@ TEST(ShardedServiceTest, RejectsDegenerateConfig) {
 TEST(ShardedServiceTest, SingleShardMatchesPlainService) {
   const Stream input = biased_stream(200, 30000, 7);
 
-  ShardedSamplingService sharded(config_for(1, 4));
-  ServiceConfig plain_cfg = config_for(1, 1).base;
+  ShardedSamplingService sharded(config_for(1));
+  ServiceConfig plain_cfg = config_for(1).base;
   plain_cfg.seed = derive_seed(plain_cfg.seed, 0);
   SamplingService plain(plain_cfg);
 
@@ -102,44 +148,23 @@ TEST(ShardedServiceTest, SingleShardMatchesPlainService) {
     ASSERT_EQ(sharded.sample(), plain.sample()) << "draw " << i;
 }
 
-// The tentpole property: the concurrent pipeline is a pure function of
-// (config, input) — bit-identical to the canonical serialization for every
-// (S, producer count) combination, including producer counts far above the
-// machine's core count.
-TEST(ShardedServiceTest, PipelineMatchesSerialAcrossShardAndThreadMatrix) {
+// The tentpole property: ingest() is a pure function of (config, input) —
+// bit-identical to the canonical serialization for every (S, worker thread
+// count) combination, including thread counts above the shard count.
+TEST(ShardedServiceTest, IngestMatchesOracleAcrossShardAndThreadMatrix) {
+  ThreadCountGuard guard;
   const Stream input = biased_stream(300, 40000, 11);
 
   for (const std::size_t shards : {1u, 2u, 4u, 7u}) {
-    ShardedSamplingService reference(config_for(shards, 1));
-    reference.ingest_serial(input);
-    for (const std::size_t producers : {1u, 2u, 4u, 8u}) {
+    CanonicalOracle oracle(config_for(shards));
+    oracle.ingest(input);
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       SCOPED_TRACE(::testing::Message()
-                   << "shards=" << shards << " producers=" << producers);
-      ShardedSamplingService concurrent(config_for(shards, producers));
-      concurrent.ingest(input);
-      expect_identical(reference, concurrent);
-    }
-  }
-}
-
-// Queue capacity and consumer batching are pure performance knobs — tiny
-// rings force constant full/empty boundary churn and sub-batch flushes, the
-// exact regime where an ordering bug would show.
-TEST(ShardedServiceTest, QueueAndBatchSizesDoNotChangeResults) {
-  const Stream input = biased_stream(150, 20000, 13);
-
-  ShardedSamplingService reference(config_for(3, 1));
-  reference.ingest_serial(input);
-  for (const std::size_t capacity : {2u, 16u, 4096u}) {
-    for (const std::size_t batch : {1u, 7u, 1024u}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "capacity=" << capacity << " batch=" << batch);
-      auto cfg = config_for(3, 4);
-      cfg.queue_capacity = capacity;
-      cfg.consumer_batch = batch;
-      ShardedSamplingService concurrent(cfg);
-      concurrent.ingest(input);
-      expect_identical(reference, concurrent);
+                   << "shards=" << shards << " threads=" << threads);
+      set_trial_threads(threads);
+      ShardedSamplingService sharded(config_for(shards));
+      sharded.ingest(input);
+      expect_matches(oracle, sharded);
     }
   }
 }
@@ -149,10 +174,10 @@ TEST(ShardedServiceTest, QueueAndBatchSizesDoNotChangeResults) {
 TEST(ShardedServiceTest, ChunkedIngestMatchesSingleIngest) {
   const Stream input = biased_stream(100, 15000, 17);
 
-  ShardedSamplingService whole(config_for(4, 4));
+  ShardedSamplingService whole(config_for(4));
   whole.ingest(input);
 
-  ShardedSamplingService chunked(config_for(4, 4));
+  ShardedSamplingService chunked(config_for(4));
   const std::size_t sizes[] = {1, 3, 17, 4096, 1, 257};
   std::size_t pos = 0, which = 0;
   while (pos < input.size()) {
@@ -168,8 +193,8 @@ TEST(ShardedServiceTest, ChunkedIngestMatchesSingleIngest) {
 // the query RNG and per-shard RNGs are part of the deterministic state.
 TEST(ShardedServiceTest, SampleSequenceIsDeterministic) {
   const Stream input = biased_stream(120, 10000, 19);
-  ShardedSamplingService a(config_for(5, 2));
-  ShardedSamplingService b(config_for(5, 2));
+  ShardedSamplingService a(config_for(5));
+  ShardedSamplingService b(config_for(5));
   EXPECT_EQ(a.sample(), std::nullopt);  // nothing ingested yet
   a.ingest(input);
   b.ingest(input);
@@ -183,16 +208,14 @@ TEST(ShardedServiceTest, SampleSequenceIsDeterministic) {
 // Exception contract: a shard whose sampler throws (omniscient shard fed an
 // id outside the known population) stops with partial state, every other
 // shard completes its full sub-stream, the exception surfaces to the
-// caller — and the pipeline reaches exactly the serial path's state.
-TEST(ShardedServiceTest, ThrowingShardMatchesSerialAndOthersComplete) {
+// caller — and the service reaches exactly the oracle's state, at every
+// thread count (one worker included: it must not stop at the failing shard).
+TEST(ShardedServiceTest, ThrowingShardMatchesOracleAndOthersComplete) {
+  ThreadCountGuard guard;
   const std::size_t n = 50;
-  auto make_config = [&](std::size_t producers) {
-    ShardedServiceConfig cfg = config_for(4, producers);
-    cfg.base.strategy = Strategy::kOmniscient;
-    cfg.base.known_probabilities = zipf_weights(n, 1.2);
-    cfg.consumer_batch = 8;  // several flushes per shard before the poison
-    return cfg;
-  };
+  ShardedServiceConfig cfg = config_for(4);
+  cfg.base.strategy = Strategy::kOmniscient;
+  cfg.base.known_probabilities = zipf_weights(n, 1.2);
 
   // Poison id: outside [0, n), so its shard's OmniscientSampler throws.
   const NodeId poison = 99999;
@@ -201,17 +224,12 @@ TEST(ShardedServiceTest, ThrowingShardMatchesSerialAndOthersComplete) {
   Stream input = biased_stream(n, 8000, 23);
   input.insert(input.begin() + input.size() / 2, poison);
 
-  ShardedSamplingService serial(make_config(1));
-  EXPECT_THROW(serial.ingest_serial(input), std::out_of_range);
-
-  ShardedSamplingService concurrent(make_config(4));
-  EXPECT_THROW(concurrent.ingest(input), std::out_of_range);
-
-  expect_identical(serial, concurrent);
+  CanonicalOracle oracle(cfg);
+  EXPECT_THROW(oracle.ingest(input), std::out_of_range);
   // Every healthy shard absorbed its complete sub-stream.
   std::uint64_t healthy = 0;
   for (std::size_t s = 0; s < 4; ++s)
-    if (s != poisoned_shard) healthy += serial.shard(s).processed();
+    if (s != poisoned_shard) healthy += oracle.shard(s).processed();
   std::uint64_t expected_healthy = 0;
   for (const NodeId id : input)
     if (id != poison && ShardedSamplingService::shard_of(id, 4) != poisoned_shard)
@@ -225,14 +243,22 @@ TEST(ShardedServiceTest, ThrowingShardMatchesSerialAndOthersComplete) {
     if (ShardedSamplingService::shard_of(id, 4) == poisoned_shard)
       ++before_poison;
   }
-  EXPECT_EQ(serial.shard(poisoned_shard).processed(), before_poison);
+  EXPECT_EQ(oracle.shard(poisoned_shard).processed(), before_poison);
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    set_trial_threads(threads);
+    ShardedSamplingService sharded(cfg);
+    EXPECT_THROW(sharded.ingest(input), std::out_of_range);
+    expect_matches(oracle, sharded);
+  }
 }
 
 // Pinned state checksums for the canonical serialization, captured on the
 // row-major sketch storage before the interleaved-layout rewrite
 // (sketch/layout.hpp).  The physical layout and the hashing kernel are
 // invisible to every observable — if any of these values ever moves, the
-// S x N sharded-ingest output stream is no longer the one the committed
+// sharded-ingest output stream is no longer the one the committed
 // bench/figure artefacts were recorded with.  Config: paper sketch shape
 // k=10, s=17, c=8, seed 123, Zipf(1.2) over 300 ids, 40000 items.
 TEST(ShardedServiceTest, StateChecksumsArePinnedAcrossLayoutChanges) {
@@ -248,7 +274,7 @@ TEST(ShardedServiceTest, StateChecksumsArePinnedAcrossLayoutChanges) {
   };
   for (const auto& pin : pins) {
     SCOPED_TRACE(::testing::Message() << "shards=" << pin.shards);
-    auto cfg = config_for(pin.shards, 4);
+    auto cfg = config_for(pin.shards);
     cfg.base.sketch_depth = 17;  // the paper's s, as the benches run it
     ShardedSamplingService service(cfg);
     service.ingest(input);
@@ -257,16 +283,36 @@ TEST(ShardedServiceTest, StateChecksumsArePinnedAcrossLayoutChanges) {
 }
 
 // record_output=false (the bench configuration) must not change histogram
-// accounting, serial or concurrent.
+// accounting.
 TEST(ShardedServiceTest, UnrecordedOutputStillFeedsHistograms) {
   const Stream input = biased_stream(100, 12000, 29);
-  ShardedSamplingService recorded(config_for(4, 4, true));
-  ShardedSamplingService unrecorded(config_for(4, 4, false));
+  ShardedSamplingService recorded(config_for(4, true));
+  ShardedSamplingService unrecorded(config_for(4, false));
   recorded.ingest(input);
   unrecorded.ingest(input);
   EXPECT_TRUE(unrecorded.merged_output_stream().empty());
   EXPECT_EQ(recorded.merged_histogram(), unrecorded.merged_histogram());
   EXPECT_EQ(unrecorded.processed(), input.size());
+}
+
+// ingest() from inside run_trials bodies nests one parallel_for_index in
+// another: every trial's service must still reach the top-level state.
+TEST(ShardedServiceTest, IngestInsideRunTrialsMatchesTopLevel) {
+  ThreadCountGuard guard;
+  set_trial_threads(4);
+  const Stream input = biased_stream(200, 20000, 31);
+  ShardedSamplingService top_level(config_for(4));
+  top_level.ingest(input);
+
+  const auto nested = run_trials(4, [&](std::size_t) {
+    auto service = std::make_unique<ShardedSamplingService>(config_for(4));
+    service->ingest(input);
+    return service;
+  });
+  for (std::size_t t = 0; t < nested.size(); ++t) {
+    SCOPED_TRACE(::testing::Message() << "trial " << t);
+    expect_identical(top_level, *nested[t]);
+  }
 }
 
 }  // namespace

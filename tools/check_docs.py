@@ -4,7 +4,7 @@
 Usage:
     check_docs.py [REPO_ROOT]
 
-Three failure classes, all of which must stay green in CI (the `docs` job)
+Six failure classes, all of which must stay green in CI (the `docs` job)
 and locally (ctest entry `docs_check`):
 
 1. Broken internal links — every relative markdown link target in docs/*.md
@@ -23,6 +23,10 @@ and locally (ctest entry `docs_check`):
    the to_string switch in src/scenario/spec.cpp) must appear in
    docs/defenses.md; a new attack kind must get a playbook row before it
    ships.
+6. Stale file paths — every backticked repo path in docs/*.md or README.md
+   under src/, tests/, tools/, bench/, examples/, benchmark/ or docs/ that
+   names a .hpp, .cpp, .py, .md, .json or .txt file must exist; a deleted
+   or renamed file must not live on in the docs.
 
 Exit status: 0 = clean, 1 = drift found, 2 = bad invocation/missing files.
 """
@@ -34,6 +38,12 @@ import sys
 # [text](target) — target captured up to the first ')'; images excluded by
 # the (?<!!) lookbehind.
 LINK_RE = re.compile(r"(?<!!)\[[^\]]*\]\(([^)\s]+)\)")
+
+# `dir/.../name.ext` — a whole backticked span naming one repo file (globs
+# and brace lists fall outside the character class and never match).
+PATH_RE = re.compile(
+    r"`((?:src|tests|tools|bench|examples|benchmark|docs)/[\w./-]*"
+    r"\.(?:hpp|cpp|py|md|json|txt))`")
 
 
 def fail(msg):
@@ -153,6 +163,17 @@ def main(argv):
                     f"docs/defenses.md: no playbook entry for attack kind "
                     f"`{slug}` (new AttackKind without a defense row)")
 
+    # 6. Every backticked repo file path in the docs and README exists.
+    named_paths = 0
+    for path in doc_files + [readme]:
+        with open(path) as f:
+            text = f.read()
+        for target in sorted(set(PATH_RE.findall(text))):
+            named_paths += 1
+            if not os.path.isfile(os.path.join(root, target)):
+                rel = os.path.relpath(path, root)
+                problems.append(f"{rel}: names missing file `{target}`")
+
     if problems:
         for p in problems:
             print(p)
@@ -161,7 +182,8 @@ def main(argv):
     print(f"docs OK: {len(doc_files)} doc file(s), "
           f"{len(subdirs)} src/ subsystems all mapped, "
           f"{len(benches)} bench artefacts catalogued, "
-          f"{len(slugs)} attack kinds in the playbook, README linked")
+          f"{len(slugs)} attack kinds in the playbook, "
+          f"{named_paths} named file paths exist, README linked")
     return 0
 
 

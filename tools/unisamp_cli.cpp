@@ -12,7 +12,9 @@
 // Exit status: 0 = success, 1 = runtime failure (e.g. an unreadable or
 // malformed trace, or an omniscient run on an id above 2^24 - 1), 2 = usage
 // error (unknown command or option value, malformed number, gen-attack
-// without 1 <= n <= m, effort's eta outside (0, 1), detect's --window=0).
+// without 1 <= n <= m, run's --c outside [1, 2^20], --s outside [1, 64] or
+// --k * --s above 2^24 counters, effort's eta outside (0, 1), detect's
+// --window=0).
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -25,6 +27,7 @@
 #include "core/attack_detector.hpp"
 #include "core/sampling_service.hpp"
 #include "metrics/divergence.hpp"
+#include "sketch/layout.hpp"
 #include "stream/generators.hpp"
 #include "stream/histogram.hpp"
 #include "stream/trace_io.hpp"
@@ -56,6 +59,11 @@ int usage() {
 /// probabilities are a dense vector over [0, max id], 8 B per id: 128 MiB at
 /// this cap, where one id of 2^64 - 1 would wrap the size to 0.
 constexpr NodeId kMaxOmniscientId = (NodeId{1} << 24) - 1;
+
+/// Largest Γ `run --c` accepts, and the largest sketch `--k * --s` may ask
+/// for: 2^24 counters of 8 B, the same 128 MiB ceiling as kMaxOmniscientId.
+constexpr std::uint64_t kMaxMemorySize = std::uint64_t{1} << 20;
+constexpr std::uint64_t kMaxSketchCounters = std::uint64_t{1} << 24;
 
 /// A bad command line: main prints the message and the usage, exits 2.
 struct UsageError : std::runtime_error {
@@ -150,6 +158,13 @@ int cmd_run(int argc, char** argv) {
   cfg.sketch_width = flag_value(argc, argv, "k", v) ? arg_u64(v.c_str()) : 10;
   cfg.sketch_depth = flag_value(argc, argv, "s", v) ? arg_u64(v.c_str()) : 5;
   cfg.seed = flag_value(argc, argv, "seed", v) ? arg_u64(v.c_str()) : 1;
+  if (cfg.memory_size == 0 || cfg.memory_size > kMaxMemorySize)
+    throw UsageError("--c must be in [1, 2^20]");
+  if (cfg.sketch_depth == 0 || cfg.sketch_depth > sketch_detail::kMaxDepth)
+    throw UsageError("--s must be in [1, 64]");
+  if (cfg.sketch_width == 0 ||
+      cfg.sketch_width > kMaxSketchCounters / cfg.sketch_depth)
+    throw UsageError("--k must be positive with --k * --s <= 2^24");
   const Stream input = load_stream_text(argv[0]);
 
   if (cfg.strategy == Strategy::kOmniscient) {
