@@ -256,19 +256,20 @@ void validate(const ScenarioSpec& spec) {
             ": timing.kind is rounds but event-mode knobs are set "
             "(latency/inbox_capacity/bandwidth_per_round)");
     } else {
-      // !(x >= 0) also rejects NaN.
-      if (!(timing.latency_base >= 0.0))
-        throw std::invalid_argument(
-            spec.name + ": timing.latency_base must be finite and >= 0");
-      if (!(timing.latency_spread >= 0.0))
-        throw std::invalid_argument(
-            spec.name + ": timing.latency_spread must be finite and >= 0");
+      // A latency of at most 10^6 rounds lowers to at most 10^12 ticks, so
+      // a send time plus a transit cannot wrap SimTime.  The negated range
+      // test also rejects NaN.
+      const auto check_latency = [&](double rounds, const char* knob) {
+        if (!(rounds >= 0.0 && rounds <= 1e6))
+          throw std::invalid_argument(spec.name + ": timing." + knob +
+                                      " must be finite, in [0, 1e6] rounds");
+      };
+      check_latency(timing.latency_base, "latency_base");
+      check_latency(timing.latency_spread, "latency_spread");
       if (!(timing.far_fraction >= 0.0 && timing.far_fraction <= 1.0))
         throw std::invalid_argument(
             spec.name + ": timing.far_fraction outside [0, 1]");
-      if (!(timing.far_extra >= 0.0))
-        throw std::invalid_argument(
-            spec.name + ": timing.far_extra must be finite and >= 0");
+      check_latency(timing.far_extra, "far_extra");
       if (timing.latency == TimingSpec::LatencyKind::kSynchronized &&
           (timing.latency_base != 0.0 || timing.latency_spread != 0.0 ||
            timing.far_fraction != 0.0 || timing.far_extra != 0.0))

@@ -23,15 +23,25 @@ void EventQueue::push_heap(std::vector<Record>& heap, const Record& rec) {
 }
 
 Event EventQueue::pop() {
+  last_ = nullptr;
   if (near_.empty()) advance();
-  std::pop_heap(near_.begin(), near_.end(), later);
-  const Record rec = near_.back();
-  near_.pop_back();
+  Record& top = near_.front();
   --size_;
-  const auto kind = static_cast<EventKind>(rec.key >> kSeqBits);
+  const auto kind = static_cast<EventKind>(top.key >> kSeqBits);
   if (kind == EventKind::kMessage) --in_flight_;
-  const std::uint64_t seq = rec.key & (kSeqLimit - 1);
-  return Event{rec.time, seq, rec.payload, rec.from, rec.to, kind};
+  const Event event{top.time, top.key & (kSeqLimit - 1), top.ids[top.head],
+                    top.from, top.to, kind};
+  if (top.len > 1) {
+    // The rest of the run holds the next seqs at the same (time, kind), so
+    // no other record sorts between: the top stays the least in place.
+    ++top.head;
+    --top.len;
+    ++top.key;
+  } else {
+    std::pop_heap(near_.begin(), near_.end(), later);
+    near_.pop_back();
+  }
+  return event;
 }
 
 void EventQueue::add_chunk(Slot& slot) {
@@ -81,8 +91,7 @@ void EventQueue::advance() {
       if (bucket(rec.time) == current_) {
         near_.push_back(rec);
       } else {
-        append(ring_[bucket(rec.time) % kSlots], rec);
-        ++ring_size_;
+        place(rec);
       }
     }
   }

@@ -83,9 +83,13 @@ struct Event {
 ///    that horizon (e.g. churn scheduled many ticks ahead) wait in an
 ///    overflow heap, O(log f) each.  An advance scans at most 256 slots;
 ///    when only the overflow heap holds events it jumps straight to them.
-///  - Memory: ring slots store 32-byte packed records in 4 KiB chunks,
-///    recycled through a free list, so capacity stays at the peak number
-///    of events in flight and is freed with the queue.
+///    A link run — up to two kMessage ids pushed back to back onto one
+///    ring slot with equal (time, from, to) — is one record, so its later
+///    id pops in O(1) without touching the heap.
+///  - Memory: ring slots store 48-byte records, one per link run, in 4 KiB
+///    chunks recycled through a free list, so capacity stays at the peak
+///    number of records in flight and is freed with the queue.  size(),
+///    peak_size() and in_flight_messages() count events (ids), not records.
 ///  - Limit: at most 2^61 pushes per queue (`seq` shares a word with the
 ///    kind); the push that would reach 2^61 throws std::length_error.
 ///  - Thread-safety: none.  Not copyable or movable: ring slots point
@@ -103,17 +107,22 @@ class EventQueue {
     if (next_seq_ == kSeqLimit) [[unlikely]]
       throw_seq_limit();
     const std::uint64_t seq = next_seq_++;
-    const Record rec{time, static_cast<std::uint64_t>(kind) << kSeqBits | seq,
-                     payload, from, to};
-    const std::uint64_t b = bucket(time);
-    if (b - current_ - 1 < kSlots) {  // current_ < b <= current_ + kSlots
-      append(ring_[b % kSlots], rec);
-      ++ring_size_;
-    } else {
-      push_heap(b <= current_ ? near_ : far_, rec);
-    }
-    if (kind == EventKind::kMessage) ++in_flight_;
     if (++size_ > peak_) peak_ = size_;
+    const bool message = kind == EventKind::kMessage;
+    if (message) {
+      ++in_flight_;
+      // Extend the run the previous push started: its ids hold the seqs
+      // just before this one, so they stay consecutive at one (time, kind).
+      if (last_ != nullptr && last_->len < kRunIds && last_->time == time &&
+          last_->from == from && last_->to == to) {
+        last_->ids[last_->len++] = payload;
+        return seq;
+      }
+    }
+    Record* const at =
+        place(Record{time, static_cast<std::uint64_t>(kind) << kSeqBits | seq,
+                     from, to, 1, 0, {payload, 0}});
+    last_ = message ? at : nullptr;
     return seq;
   }
 
@@ -129,20 +138,29 @@ class EventQueue {
   std::size_t peak_size() const { return peak_; }
 
  private:
-  friend struct EventQueueTestPeer;  // forces next_seq_ to the limit
+  friend struct EventQueueTestPeer;  // seq limit, ring geometry and size
 
-  /// An Event packed into 32 bytes.  `key` = kind << 61 | seq, so
-  /// (time, key) orders exactly as (time, kind, seq).
+  static constexpr std::uint32_t kRunIds = 2;
+
+  /// A run of `len` events that differ only in payload and hold
+  /// consecutive seqs, packed into 48 bytes: the next to pop carries
+  /// payload ids[head].  `key` = kind << 61 | its seq, so (time, key)
+  /// orders exactly as (time, kind, seq).  Runs longer than one are
+  /// kMessage ids of one link.
   struct Record {
     SimTime time;
     std::uint64_t key;
-    NodeId payload;
     std::uint32_t from;
     std::uint32_t to;
+    std::uint32_t len;
+    std::uint32_t head;
+    NodeId ids[kRunIds];
   };
+  static_assert(sizeof(Record) == 48);
   /// 4 KiB of Records plus the link to the next chunk of the same slot.
   struct Chunk {
-    static constexpr std::size_t kRecords = 127;
+    static constexpr std::size_t kRecords =
+        (4096 - sizeof(Chunk*)) / sizeof(Record);
     Record records[kRecords];
     Chunk* next;
   };
@@ -164,14 +182,27 @@ class EventQueue {
   [[noreturn]] static void throw_seq_limit();
   static void push_heap(std::vector<Record>& heap, const Record& rec);
 
-  void append(Slot& slot, const Record& rec) {
+  /// Queues `rec`; returns where it sits if that is a ring slot, whose
+  /// records stay put until drained, else nullptr.
+  Record* place(const Record& rec) {
+    const std::uint64_t b = bucket(rec.time);
+    if (b - current_ - 1 < kSlots) {  // current_ < b <= current_ + kSlots
+      ++ring_size_;
+      return append(ring_[b % kSlots], rec);
+    }
+    push_heap(b <= current_ ? near_ : far_, rec);
+    return nullptr;
+  }
+  Record* append(Slot& slot, const Record& rec) {
     if (slot.tail_fill == Chunk::kRecords) [[unlikely]]
       add_chunk(slot);
-    slot.tail->records[slot.tail_fill++] = rec;
+    Record* const at = &slot.tail->records[slot.tail_fill++];
+    *at = rec;
     // Warm the line two records ahead: slots are written round-robin, so
     // it is needed long after this and would otherwise miss on the write.
     if (slot.tail_fill + 2 < Chunk::kRecords)
       __builtin_prefetch(&slot.tail->records[slot.tail_fill + 2], 1);
+    return at;
   }
   void add_chunk(Slot& slot);
   void drain(Slot& slot);
@@ -182,8 +213,12 @@ class EventQueue {
   std::vector<Record> far_;   ///< heap: buckets beyond the ring
   std::vector<std::unique_ptr<Chunk>> chunks_;  ///< owns every chunk
   Chunk* free_ = nullptr;     ///< recycled chunks
+  /// The ring record the previous push appended, while a kMessage push
+  /// may still extend it; cleared by every pop, so never dangles into a
+  /// drained chunk.
+  Record* last_ = nullptr;
   std::uint64_t current_ = 0;
-  std::size_t ring_size_ = 0;
+  std::size_t ring_size_ = 0;  ///< records, not events
   std::size_t size_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t in_flight_ = 0;

@@ -288,7 +288,8 @@ TEST(SimDriverEvent, DropAccountingClosesTheConservationLaw) {
                     recording_service());
   SimDriver driver(net, timing);
   driver.schedule_set_active(1, 20, false);  // leaves with ids in flight
-  driver.run_ticks(6);
+  constexpr std::uint64_t kTicks = 6;
+  driver.run_ticks(kTicks);
 
   const EngineStats& stats = driver.stats();
   EXPECT_GT(stats.dropped_overflow, 0u);
@@ -308,6 +309,13 @@ TEST(SimDriverEvent, DropAccountingClosesTheConservationLaw) {
   }
   EXPECT_EQ(net.delivered(), processed + pending);
   EXPECT_EQ(stats.messages_delivered, net.delivered());
+  // Queue counters are in ids, however the queue groups a link's ids: each
+  // tick pops its n + 2 control events, the churn toggle pops once, and
+  // every id no longer in flight popped as one event.
+  EXPECT_EQ(stats.events_processed,
+            kTicks * (net.size() + 2) + 1 +
+                (stats.messages_sent - driver.in_flight_messages()));
+  EXPECT_EQ(stats.peak_queue_depth, 929u);  // ids, not queue records
 }
 
 TEST(SimDriverEvent, DeterministicAcrossRuns) {

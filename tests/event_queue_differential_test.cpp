@@ -6,8 +6,9 @@
 // queue's seams: pushes in scrambled time order before the first pop,
 // sim-like bimodal-latency traffic, zero-latency pushes at the instant
 // being drained with a lower kind than the event just popped, pushes past
-// the ring horizon, equal keys, and draining to empty then refilling
-// (into the past as well as the future).
+// the ring horizon, equal keys, draining to empty then refilling (into
+// the past as well as the future), and link runs: bursts of ids on one
+// link, which the queue keeps in one record.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +21,8 @@
 
 namespace unisamp {
 
-/// Reads EventQueue's private geometry and forces its seq counter.
+/// Reads EventQueue's private geometry and record count and forces its seq
+/// counter.
 struct EventQueueTestPeer {
   static constexpr SimTime kBucketWidth = SimTime{1}
                                           << EventQueue::kBucketShift;
@@ -29,6 +31,7 @@ struct EventQueueTestPeer {
   static void set_next_seq(EventQueue& q, std::uint64_t seq) {
     q.next_seq_ = seq;
   }
+  static std::size_t ring_records(const EventQueue& q) { return q.ring_size_; }
 };
 
 namespace {
@@ -286,6 +289,95 @@ TEST(EventQueueDifferential, RandomOperationMix) {
                                  now - rng.next_below(now + 1)};
       ASSERT_TRUE(push_random(q, rng, offsets[rng.next_below(5)]))
           << "seed " << seed;
+    }
+    ASSERT_TRUE(q.drain());
+  }
+}
+
+TEST(EventQueueDifferential, LinkRunsPopAsSingleIds) {
+  {
+    // Two ids on one link at one ring instant share a record.
+    EventQueue q;
+    q.push(Peer::kBucketWidth, EventKind::kMessage, 1, 2, 10);
+    q.push(Peer::kBucketWidth, EventKind::kMessage, 1, 2, 11);
+    EXPECT_EQ(Peer::ring_records(q), 1u);
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.in_flight_messages(), 2u);
+  }
+  // A burst of `n` ids on link from -> to at `time`.
+  auto burst = [](Lockstep& q, SimTime time, std::uint32_t from,
+                  std::uint32_t to, std::uint64_t n, NodeId tag) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const testing::AssertionResult r =
+          q.push(time, EventKind::kMessage, from, to, tag + i);
+      if (!r) return r;
+    }
+    return testing::AssertionSuccess();
+  };
+  {
+    // The same link at two times, two links at one time, and a pop that
+    // stops mid-run followed by pushes at the popped instant: a lower kind
+    // (pops before the run's rest) and the same kind on another link
+    // (pops after it).
+    Lockstep q;
+    const SimTime t = 3 * Peer::kBucketWidth;
+    ASSERT_TRUE(burst(q, t, 1, 2, 1, 100));
+    ASSERT_TRUE(burst(q, t + 1, 1, 2, 2, 200));
+    ASSERT_TRUE(burst(q, t, 1, 3, 2, 300));
+    ASSERT_TRUE(burst(q, t, 1, 2, 3, 400));
+    ASSERT_TRUE(q.pop());
+    ASSERT_TRUE(q.push(t, EventKind::kChurn, 1, 0, 1));
+    ASSERT_TRUE(burst(q, t, 4, 2, 2, 500));
+    ASSERT_TRUE(q.pop());
+    ASSERT_TRUE(q.pop());
+    ASSERT_TRUE(burst(q, t, 1, 2, 2, 600));
+    ASSERT_TRUE(q.drain());
+    // Refill the ring with a run, stop mid-run and drain to empty from it.
+    ASSERT_TRUE(burst(q, t + Peer::kBucketWidth, 5, 6, 2, 700));
+    ASSERT_TRUE(q.pop());
+    ASSERT_TRUE(q.drain());
+  }
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Xoshiro256 rng(seed);
+    Lockstep q;
+    SimTime now = 0;
+    for (int round = 0; round < 300; ++round) {
+      // Bursts of 1-5 ids over few links and times, so consecutive bursts
+      // often share a link or an instant: into the ring, the past (the
+      // small heap) and past the horizon (the overflow heap).
+      const std::uint64_t bursts = 1 + rng.next_below(6);
+      for (std::uint64_t b = 0; b < bursts; ++b) {
+        const SimTime back = rng.next_below(std::min(now, Peer::kHorizon) + 1);
+        const SimTime offsets[] = {
+            now + rng.next_below(3) * Peer::kBucketWidth,
+            now + 1 + rng.next_below(Peer::kHorizon), now - back,
+            now + Peer::kHorizon + rng.next_below(4 * Peer::kHorizon)};
+        ASSERT_TRUE(burst(q, offsets[rng.next_below(4)],
+                          static_cast<std::uint32_t>(rng.next_below(2)),
+                          static_cast<std::uint32_t>(rng.next_below(2)),
+                          1 + rng.next_below(5), rng()))
+            << "seed " << seed << " round " << round;
+      }
+      if (round % 50 == 49) {
+        // Drain to empty, often from mid-run, then refill at that instant.
+        ASSERT_TRUE(q.drain()) << "seed " << seed << " round " << round;
+        now = q.last().time;
+        continue;
+      }
+      const std::size_t pops = rng.next_below(q.size() + 1);
+      for (std::size_t i = 0; i < pops; ++i) {
+        ASSERT_TRUE(q.pop()) << "seed " << seed << " round " << round;
+      }
+      if (pops == 0) continue;
+      const Event popped = q.last();
+      now = popped.time;
+      if (q.empty()) continue;
+      // At the popped instant, possibly mid-run: a lower kind, and the
+      // same kind on another link.
+      ASSERT_TRUE(q.push(now, static_cast<EventKind>(rng.next_below(3)), 0, 0,
+                         round));
+      ASSERT_TRUE(burst(q, now, popped.from + 1, popped.to,
+                        1 + rng.next_below(3), rng()));
     }
     ASSERT_TRUE(q.drain());
   }

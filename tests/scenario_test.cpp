@@ -235,6 +235,22 @@ TEST(ScenarioSpecTest, ValidateRejectsBadTimingSpecs) {
   EXPECT_THROW(validate(spec), std::invalid_argument);
   spec.timing->latency_base = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(validate(spec), std::invalid_argument);
+  // Infinite or huge latencies too: lowered to ticks they would wrap the
+  // event queue's time.  10^6 rounds is the largest admitted.
+  for (double TimingSpec::*knob : {&TimingSpec::latency_base,
+                                   &TimingSpec::latency_spread,
+                                   &TimingSpec::far_extra}) {
+    spec = base_spec();
+    spec.timing = TimingSpec{};
+    spec.timing->kind = TimingSpec::Kind::kEvent;
+    spec.timing->latency = TimingSpec::LatencyKind::kBimodal;
+    for (const double bad : {std::numeric_limits<double>::infinity(), 1e300}) {
+      (*spec.timing).*knob = bad;
+      EXPECT_THROW(validate(spec), std::invalid_argument);
+    }
+    (*spec.timing).*knob = 1e6;
+    EXPECT_NO_THROW(validate(spec));
+  }
 
   // far_* knobs demand the bimodal distribution.
   spec = base_spec();
