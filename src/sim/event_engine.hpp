@@ -75,21 +75,28 @@ struct Event {
 ///    least queued event under (time, kind, seq), exactly as a binary heap
 ///    over all queued events would.
 ///  - Complexity: time is cut into buckets of 2^14 units (~1/61 round).
-///    Events in the current or an earlier bucket sit in a small binary
-///    heap: O(log m) push/pop, m = that heap's size.  Events in the next
-///    256 buckets (~4.2 rounds) are appended unsorted to ring slots in O(1)
-///    and heapified all at once, O(1) amortised per event, when pop() finds
-///    the small heap empty and advances to their bucket.  Events beyond
-///    that horizon (e.g. churn scheduled many ticks ahead) wait in an
-///    overflow heap, O(log f) each.  An advance scans at most 256 slots;
-///    when only the overflow heap holds events it jumps straight to them.
-///    A link run — up to two kMessage ids pushed back to back onto one
-///    ring slot with equal (time, from, to) — is one record, so its later
-///    id pops in O(1) without touching the heap.
+///    Events in the next 256 buckets (~4.2 rounds) are appended unsorted
+///    to ring slots in O(1).  When pop() has used up the current bucket it
+///    advances to the next nonempty one, moves its r records into one
+///    array and sorts them once: by time in two counting passes, O(r),
+///    then by key among equal times where drain order had them out of key
+///    order, O(r log r) at worst.  Each of them then pops in O(1) by
+///    moving a cursor.  Pushes into the current bucket or an earlier one,
+///    made while it drains, go to a small binary heap: O(log m) push/pop,
+///    m = that heap's size; pop() takes the lesser of the cursor's record
+///    and the heap's top.  Events beyond the horizon (e.g. churn scheduled
+///    many ticks ahead) wait in an overflow heap, O(log f) each.  An
+///    advance scans at most 256 slots; when only the overflow heap holds
+///    events it jumps straight to them.  A link run — up to two kMessage
+///    ids pushed back to back onto one ring slot with equal (time, from,
+///    to) — is one record, so its later id pops in O(1) with the cursor
+///    (or the heap's top) left in place.
 ///  - Memory: ring slots store 48-byte records, one per link run, in 4 KiB
 ///    chunks recycled through a free list, so capacity stays at the peak
-///    number of records in flight and is freed with the queue.  size(),
-///    peak_size() and in_flight_messages() count events (ids), not records.
+///    number of records in flight and is freed with the queue.  The sorted
+///    array and the sort's scratch array each hold one bucket's records;
+///    their capacity is reused from bucket to bucket.  size(), peak_size()
+///    and in_flight_messages() count events (ids), not records.
 ///  - Limit: at most 2^61 pushes per queue (`seq` shares a word with the
 ///    kind); the push that would reach 2^61 throws std::length_error.
 ///  - Thread-safety: none.  Not copyable or movable: ring slots point
@@ -128,6 +135,18 @@ class EventQueue {
 
   /// Removes and returns the earliest event.  Precondition: !empty().
   Event pop();
+
+  /// ahead() past the end of the current bucket's sorted records.
+  static constexpr std::uint32_t kNoneAhead = 0xFFFFFFFF;
+
+  /// The `to` of the current bucket's sorted record `k` places past the
+  /// one the next pop() considers, or kNoneAhead.  A cheap, approximate
+  /// look at deliveries to come — pushes into the current bucket and the
+  /// later ids of a link run are not counted — meant for prefetching.
+  std::uint32_t ahead(std::size_t k) const {
+    const std::size_t at = cursor_ + k;
+    return at < sorted_.size() ? sorted_[at].to : kNoneAhead;
+  }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -207,8 +226,14 @@ class EventQueue {
   void add_chunk(Slot& slot);
   void drain(Slot& slot);
   void advance();
+  void sort_bucket();
 
-  std::vector<Record> near_;  ///< heap: buckets <= current_
+  /// Bucket current_'s records as the last advance found them, sorted by
+  /// (time, key); those before cursor_ have popped.
+  std::vector<Record> sorted_;
+  std::size_t cursor_ = 0;
+  std::vector<Record> scratch_;  ///< sort_bucket's buffer
+  std::vector<Record> near_;  ///< heap: pushed into buckets <= current_
   Slot ring_[kSlots];         ///< bucket b in (current_, current_ + kSlots]
   std::vector<Record> far_;   ///< heap: buckets beyond the ring
   std::vector<std::unique_ptr<Chunk>> chunks_;  ///< owns every chunk

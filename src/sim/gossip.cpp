@@ -15,8 +15,11 @@ GossipNetwork::GossipNetwork(Topology topology, GossipConfig config,
     throw std::invalid_argument("at least one correct node required");
   if (config_.observer_stride == 0)
     throw std::invalid_argument("observer_stride must be >= 1");
+  if (config_.knowledge_cache > kMaxKnowledgeCache)
+    throw std::invalid_argument("knowledge_cache must be <= 65536");
+  rings_.resize(nodes_.size() * config_.knowledge_cache);
+  cursors_.resize(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    nodes_[i].knowledge.reserve(config_.knowledge_cache);
     if (!is_byzantine(i) &&
         (i - config_.byzantine_count) % config_.observer_stride == 0) {
       ServiceConfig cfg = sampler_config;
@@ -33,12 +36,16 @@ GossipNetwork::GossipNetwork(Topology topology, GossipConfig config,
     forged_ids_.push_back(base + static_cast<NodeId>(i));
 }
 
-void GossipNetwork::remember(NodeState& state, NodeId id) {
-  if (state.knowledge.size() < config_.knowledge_cache) {
-    state.knowledge.push_back(id);
-  } else if (!state.knowledge.empty()) {
-    state.knowledge[state.next_slot] = id;
-    if (++state.next_slot == state.knowledge.size()) state.next_slot = 0;
+void GossipNetwork::remember(std::size_t node, NodeId id) {
+  const std::size_t size = config_.knowledge_cache;
+  if (size == 0) return;
+  NodeId* const ring = rings_.data() + node * size;
+  RingCursor& cursor = cursors_[node];
+  if (cursor.fill < size) {
+    ring[cursor.fill++] = id;
+  } else {
+    ring[cursor.next] = id;
+    if (++cursor.next == size) cursor.next = 0;
   }
 }
 
@@ -55,7 +62,7 @@ DeliveryOutcome GossipNetwork::accept_delivery(std::size_t to, NodeId id,
   // Knowledge caches update eagerly at delivery time — later senders at the
   // same instant read them, so deferring this would change what gets
   // gossiped.
-  remember(state, id);
+  remember(to, id);
   if (!state.service) return DeliveryOutcome::kHeard;
   // The service feed is deferred: ids accumulate in per-node order and
   // flush at the tick boundary through the batched on_receive_stream path.

@@ -89,9 +89,15 @@ class RoundAdversary {
   virtual std::span<const NodeId> malicious_ids() const = 0;
 };
 
+/// Largest GossipConfig::knowledge_cache a GossipNetwork accepts.
+inline constexpr std::size_t kMaxKnowledgeCache = 65'536;
+
 struct GossipConfig {
   std::size_t fanout = 3;          ///< ids pushed per neighbour per tick
-  std::size_t knowledge_cache = 64;///< per-node cache of heard ids
+  /// Per-node cache of heard ids, at most kMaxKnowledgeCache (larger sizes
+  /// throw std::invalid_argument).  0 is valid: correct nodes then push
+  /// only their own id.
+  std::size_t knowledge_cache = 64;
   std::uint64_t seed = 1;
 
   /// Byzantine behaviour.
@@ -131,6 +137,9 @@ struct GossipConfig {
 ///    dropped, never replayed.
 ///  - Complexity: one tick is O(active nodes * degree * fanout) ids, each
 ///    costing O(sketch depth) in the destination's sampler.
+///  - Memory: every knowledge cache is a ring in one n * knowledge_cache
+///    array of 8-byte ids, plus 8 bytes of fill and next-slot per node and
+///    a 56-byte NodeState per node.
 ///  - Thread-safety: none; drive a network from one thread.
 class GossipNetwork {
  public:
@@ -170,6 +179,18 @@ class GossipNetwork {
   /// ids are dropped (see the class contract) and the exception
   /// propagates.
   void flush_tick(std::size_t bandwidth);
+
+  /// Warms what accept_delivery(to, ...) touches first: the node's state
+  /// and the knowledge-cache slot its next remembered id goes to.  Changes
+  /// nothing; the driver calls it for a delivery a few pops ahead.
+  void prefetch_delivery(std::size_t to) const {
+    __builtin_prefetch(&nodes_[to]);
+    if (config_.knowledge_cache == 0) return;
+    const RingCursor cursor = cursors_[to];
+    const std::size_t slot =
+        cursor.fill < config_.knowledge_cache ? cursor.fill : cursor.next;
+    __builtin_prefetch(&rings_[to * config_.knowledge_cache + slot], 1);
+  }
 
   /// Current depth of a node's pending inbox (backlog accounting).
   std::size_t inbox_depth(std::size_t node) const {
@@ -223,8 +244,6 @@ class GossipNetwork {
 
  private:
   struct NodeState {
-    std::vector<NodeId> knowledge;  // ring buffer of heard ids
-    std::size_t next_slot = 0;
     std::unique_ptr<SamplingService> service;  // null when uninstrumented
     Stream input;  // recorded deliveries (only when record_inputs)
     // Pending inbox: buffered deliveries awaiting the tick flush through
@@ -232,11 +251,21 @@ class GossipNetwork {
     Stream pending;
   };
 
-  void remember(NodeState& state, NodeId id);
+  /// Where node i's knowledge ring stands: it holds rings_[i * K, i * K +
+  /// fill), K = knowledge_cache, and once full the next id overwrites slot
+  /// `next`, oldest first.
+  struct RingCursor {
+    std::uint32_t fill = 0;
+    std::uint32_t next = 0;
+  };
+
+  void remember(std::size_t node, NodeId id);
 
   Topology topology_;
   GossipConfig config_;
   std::vector<NodeState> nodes_;
+  std::vector<NodeId> rings_;  ///< every node's knowledge ring
+  std::vector<RingCursor> cursors_;
   std::vector<bool> active_;
   std::vector<NodeId> forged_ids_;
   RoundAdversary* adversary_ = nullptr;
@@ -254,7 +283,8 @@ void GossipNetwork::emit_sends(std::size_t from, DeliverFn&& deliver_fn) {
   if (!active_[from]) return;
   const auto neighbors = topology_.neighbors(from);
   if (neighbors.empty()) return;
-  NodeState& state = nodes_[from];
+  const NodeId* const ring = rings_.data() + from * config_.knowledge_cache;
+  const std::uint32_t& known = cursors_[from].fill;
   for (std::uint32_t to : neighbors) {
     if (!active_[to]) continue;
     if (is_byzantine(from)) {
@@ -278,9 +308,8 @@ void GossipNetwork::emit_sends(std::size_t from, DeliverFn&& deliver_fn) {
       // Correct push: own id + fanout-1 random known ids.
       deliver_fn(to, static_cast<NodeId>(from));
       for (std::size_t f = 1; f < config_.fanout; ++f) {
-        if (state.knowledge.empty()) break;
-        deliver_fn(to,
-                   state.knowledge[rng_.next_below(state.knowledge.size())]);
+        if (known == 0) break;
+        deliver_fn(to, ring[rng_.next_below(known)]);
       }
     }
   }

@@ -245,6 +245,80 @@ TEST(SimDriverDifferential, ZeroLatencyEventModeMatchesRoundsMode) {
   }
 }
 
+// The lockstep oracle gossips from the network's own knowledge caches, so
+// the differential tests above cannot see a change to how those caches
+// fill, wrap or are sampled.  These checksums can: they were captured
+// before the caches moved into one flat array and must not move.  Every
+// case runs long enough for some node's cache to wrap, 64 ids included.
+TEST(SimDriverDifferential, KnowledgeCacheSizesArePinned) {
+  LinkLatencyModel bimodal;
+  bimodal.kind = LinkLatencyModel::Kind::kBimodal;
+  bimodal.base = kTicksPerRound / 4;
+  bimodal.spread = kTicksPerRound / 2;
+  bimodal.far_fraction = 0.2;
+  bimodal.far_extra = 2 * kTicksPerRound;
+  bimodal.seed = 44;
+  const struct {
+    const char* name;
+    TimingModel timing;
+  } modes[] = {
+      {"rounds", TimingModel::rounds()},
+      {"zero-latency event", TimingModel::event(LinkLatencyModel{})},
+      {"bimodal event", TimingModel::event(bimodal, 6, 4)},
+  };
+  const struct {
+    std::size_t cache;
+    std::uint64_t checksum[3];  // one per mode, in `modes` order
+  } pins[] = {
+      {0,
+       {5233849542930686785ULL, 9409947222407110256ULL,
+        12665398456813574214ULL}},
+      {1,
+       {1315096483246123644ULL, 4941534590851905637ULL,
+        1297489988550746058ULL}},
+      {3,
+       {6147454442775015172ULL, 4002172471117863154ULL,
+        6557620441423391750ULL}},
+      {64,
+       {7576393203562449859ULL, 5257474847563810186ULL,
+        6221244705136493361ULL}},
+  };
+  for (const auto& pin : pins) {
+    for (std::size_t m = 0; m < 3; ++m) {
+      SCOPED_TRACE(::testing::Message() << "knowledge_cache=" << pin.cache
+                                        << ", " << modes[m].name);
+      GossipConfig g;
+      g.fanout = 3;
+      g.knowledge_cache = pin.cache;
+      g.seed = 45;
+      g.byzantine_count = 3;
+      g.flood_factor = 5;
+      g.forged_id_count = 6;
+      GossipNetwork net(Topology::small_world(24, 4, 0.1, 46), g,
+                        recording_service());
+      SimDriver driver(net, modes[m].timing);
+      driver.run_ticks(20);
+      const EngineStats& s = driver.stats();
+      std::uint64_t acc = kChecksumSeed;
+      for (const std::uint64_t v :
+           {s.events_processed, s.messages_sent, s.messages_delivered,
+            s.messages_heard, s.dropped_overflow, s.dropped_inactive,
+            s.peak_queue_depth, s.peak_inbox_backlog, net.delivered()})
+        acc = checksum_fold(acc, v);
+      std::uint64_t most_heard = 0;  // by one node, each id remembered
+      for (std::size_t i = 0; i < net.size(); ++i) {
+        if (!net.has_service(i)) continue;
+        for (const NodeId id : net.service(i).sampler().memory())
+          acc = checksum_fold(acc, id);
+        most_heard = std::max<std::uint64_t>(
+            most_heard, net.service(i).processed() + net.inbox_depth(i));
+      }
+      EXPECT_GT(most_heard, pin.cache) << "no cache wrapped";
+      EXPECT_EQ(acc, pin.checksum[m]);
+    }
+  }
+}
+
 // ------------------------------------------------------------- event timing
 
 GossipConfig event_gossip() {

@@ -7,8 +7,10 @@
 // sim-like bimodal-latency traffic, zero-latency pushes at the instant
 // being drained with a lower kind than the event just popped, pushes past
 // the ring horizon, equal keys, draining to empty then refilling (into
-// the past as well as the future), and link runs: bursts of ids on one
-// link, which the queue keeps in one record.
+// the past as well as the future), link runs: bursts of ids on one link,
+// which the queue keeps in one record, and the seams of the sorted bucket
+// drain: pushes into the bucket whose sorted records are half popped,
+// overflow events admitted straight into the current bucket, and ahead().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -381,6 +383,126 @@ TEST(EventQueueDifferential, LinkRunsPopAsSingleIds) {
     }
     ASSERT_TRUE(q.drain());
   }
+}
+
+TEST(EventQueueDifferential, PushesIntoTheBucketBeingDrained) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Xoshiro256 rng(seed);
+    Lockstep q;
+    // A few hundred events over three future buckets, so each pop after
+    // the first comes from a sorted bucket or from a push made since.
+    const SimTime base = 2 * Peer::kBucketWidth;
+    for (int i = 0; i < 300; ++i)
+      ASSERT_TRUE(
+          push_random(q, rng, base + rng.next_below(3 * Peer::kBucketWidth)));
+    for (int step = 0; step < 1500 && !q.empty(); ++step) {
+      ASSERT_TRUE(q.pop()) << "seed " << seed << " step " << step;
+      if (step >= 1000) continue;
+      const Event popped = q.last();
+      // With the cursor mid-array: a zero-latency id, a control event at
+      // the popped instant, an event later in the bucket, and one into
+      // the past (an earlier instant, often an earlier bucket).
+      const std::uint32_t to = static_cast<std::uint32_t>(rng.next_below(50));
+      switch (rng.next_below(4)) {
+        case 0:
+          ASSERT_TRUE(q.push(popped.time, EventKind::kMessage, popped.to, to,
+                             rng()));
+          break;
+        case 1:
+          ASSERT_TRUE(q.push(popped.time,
+                             static_cast<EventKind>(rng.next_below(3)), 0, 0,
+                             step));
+          break;
+        case 2:
+          ASSERT_TRUE(push_random(
+              q, rng, popped.time + rng.next_below(Peer::kBucketWidth)));
+          break;
+        default:
+          ASSERT_TRUE(push_random(
+              q, rng,
+              popped.time - rng.next_below(std::min<SimTime>(
+                                popped.time + 1, 2 * Peer::kBucketWidth))));
+      }
+    }
+    ASSERT_TRUE(q.drain()) << "seed " << seed;
+  }
+}
+
+TEST(EventQueueDifferential, OverflowAdmittedIntoTheCurrentBucket) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Xoshiro256 rng(seed);
+    Lockstep q;
+    SimTime now = 0;
+    for (int cycle = 0; cycle < 10; ++cycle) {
+      // Only overflow events: the next pop jumps to the first of them, and
+      // that bucket's events are admitted straight into the sorted array
+      // with mixed kinds and equal times.
+      const SimTime far = now + (2 + rng.next_below(4)) * Peer::kHorizon;
+      for (int i = 0; i < 60; ++i)
+        ASSERT_TRUE(push_random(
+            q, rng, far + rng.next_below(8) * (Peer::kBucketWidth / 4)));
+      for (int i = 0; i < 40; ++i) {
+        ASSERT_TRUE(q.pop()) << "seed " << seed << " cycle " << cycle;
+        // Ties with the admitted events at their own instant.
+        if (i % 4 == 0) {
+          ASSERT_TRUE(push_random(q, rng, q.last().time));
+        }
+      }
+      ASSERT_TRUE(q.drain()) << "seed " << seed << " cycle " << cycle;
+      now = q.last().time;
+    }
+  }
+}
+
+TEST(EventQueueDifferential, LinkRunHalfPoppedAtTheCursor) {
+  Lockstep q;
+  const SimTime t = 5 * Peer::kBucketWidth + 17;
+  ASSERT_TRUE(q.push(t - 3, EventKind::kMessage, 7, 8, 1));
+  ASSERT_TRUE(q.push(t, EventKind::kMessage, 1, 2, 10));
+  ASSERT_TRUE(q.push(t, EventKind::kMessage, 1, 2, 11));  // joins the run
+  ASSERT_TRUE(q.push(t, EventKind::kMessage, 3, 4, 20));
+  ASSERT_TRUE(q.push(t + 1, EventKind::kNodeSend, 5, 0, 30));
+  ASSERT_TRUE(q.pop());  // t - 3
+  ASSERT_TRUE(q.pop());  // the run's first id; its second stays at the cursor
+  EXPECT_EQ(q.last().payload, 10u);
+  // A lower kind at the run's instant pops before the run's second id; the
+  // same kind on another link pops after everything queued at t.
+  ASSERT_TRUE(q.push(t, EventKind::kChurn, 9, 0, 40));
+  ASSERT_TRUE(q.push(t, EventKind::kMessage, 6, 2, 50));
+  ASSERT_TRUE(q.drain());
+}
+
+TEST(EventQueueAhead, PeeksAtLaterSortedRecords) {
+  EventQueue q;
+  EXPECT_EQ(q.ahead(0), EventQueue::kNoneAhead);
+  // One future bucket: eight ids on distinct links at scrambled times, and
+  // a run of two ids on one link, which is one record.
+  const SimTime t = 3 * Peer::kBucketWidth;
+  const SimTime offsets[] = {40, 10, 70, 20, 60, 30, 80, 50};
+  for (std::uint32_t i = 0; i < 8; ++i)
+    q.push(t + offsets[i], EventKind::kMessage, 100 + i, 200 + i, i);
+  q.push(t + 45, EventKind::kMessage, 1, 300, 8);
+  q.push(t + 45, EventKind::kMessage, 1, 300, 9);
+  // Destinations in (time, key) order, one per record.
+  const std::uint32_t order[] = {201, 203, 205, 200, 300, 207, 204, 202, 206};
+  EXPECT_EQ(q.pop().to, order[0]);  // the advance sorts the bucket
+  for (std::size_t k = 0; k < 8; ++k) EXPECT_EQ(q.ahead(k), order[1 + k]);
+  EXPECT_EQ(q.ahead(8), EventQueue::kNoneAhead);
+  // A push into the current bucket goes to the small heap, not the array.
+  q.push(t, EventKind::kTickBegin, 0, 0, 0);
+  EXPECT_EQ(q.ahead(0), order[1]);
+  EXPECT_EQ(q.pop().kind, EventKind::kTickBegin);
+  EXPECT_EQ(q.pop().to, order[1]);
+  EXPECT_EQ(q.ahead(0), order[2]);
+  EXPECT_EQ(q.ahead(6), order[8]);
+  EXPECT_EQ(q.ahead(7), EventQueue::kNoneAhead);
+  for (int i = 0; i < 2; ++i) q.pop();  // up to the run's first id
+  EXPECT_EQ(q.pop().payload, 8u);
+  EXPECT_EQ(q.ahead(0), order[4]);  // the run's rest stays at the cursor
+  EXPECT_EQ(q.pop().payload, 9u);
+  EXPECT_EQ(q.ahead(0), order[5]);
+  while (!q.empty()) q.pop();
+  EXPECT_EQ(q.ahead(0), EventQueue::kNoneAhead);
 }
 
 TEST(EventQueueLimit, PushThrowsLengthErrorAtTheSeqLimit) {

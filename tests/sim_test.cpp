@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -164,6 +165,38 @@ TEST(Gossip, AllByzantineRejected) {
   EXPECT_THROW(GossipNetwork(Topology::complete(3), basic_gossip(3),
                              basic_service()),
                std::invalid_argument);
+}
+
+// Every knowledge cache lives in one n x knowledge_cache array with 32-bit
+// fill counts, so the size is capped well below where either could wrap.
+TEST(GossipNetwork, RejectsOversizedKnowledgeCache) {
+  for (const std::size_t cache :
+       {std::numeric_limits<std::size_t>::max(), std::size_t{1} << 17,
+        kMaxKnowledgeCache + 1}) {
+    GossipConfig cfg = basic_gossip();
+    cfg.knowledge_cache = cache;
+    EXPECT_THROW(GossipNetwork(Topology::ring(6, 1), cfg, basic_service()),
+                 std::invalid_argument)
+        << "knowledge_cache " << cache;
+  }
+  GossipConfig largest = basic_gossip();
+  largest.knowledge_cache = kMaxKnowledgeCache;
+  EXPECT_NO_THROW(GossipNetwork(Topology::ring(6, 1), largest,
+                                basic_service()));
+  // 0 stays valid: a correct node then knows no ids but its own, so each
+  // one hears only its neighbours' own ids.
+  GossipConfig none = basic_gossip();
+  none.knowledge_cache = 0;
+  none.record_inputs = true;
+  GossipNetwork net(Topology::ring(6, 1), none, basic_service());
+  SimDriver(net).run_ticks(5);
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    const Stream& input = net.input_stream(i);
+    EXPECT_EQ(input.size(), 5u * 2u) << "node " << i;
+    for (const NodeId id : input)
+      EXPECT_TRUE(id == (i + 1) % 6 || id == (i + 5) % 6)
+          << "node " << i << " heard " << id;
+  }
 }
 
 TEST(Gossip, ChurnInactiveNodesReceiveNothing) {
