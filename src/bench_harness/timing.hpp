@@ -5,8 +5,9 @@
 // summary the JSON report carries: the MEDIAN is the headline number
 // (robust to the one-off scheduling hiccups that dominate min/mean on a
 // loaded CI runner), min is reported as the "best case the hardware
-// allows", and stddev quantifies run-to-run noise so the regression
-// checker can widen its tolerance on jittery scenarios.
+// allows", and stddev records run-to-run noise for the reader.  The
+// regression checker (tools/check_bench_regression.py) compares medians
+// against one fixed threshold and does not read stddev.
 #pragma once
 
 #include <chrono>

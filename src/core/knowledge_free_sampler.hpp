@@ -100,6 +100,21 @@ class BasicKnowledgeFreeSampler final : public NodeSampler {
     }
   }
 
+  /// Warms every counter line of a small sketch with its hash
+  /// coefficients (CountMinSketch::prefetch), the Gamma array, and the
+  /// membership slots of the first kPrehashBlock ids of `next`.
+  void prefetch(std::span<const NodeId> next) const override {
+    sketch_.prefetch();
+    // One id per 64-byte line, plus the last id: Gamma is only 8-byte
+    // aligned, so its last line may start past the stride.
+    for (std::size_t i = 0; i < gamma_.size(); i += 8)
+      __builtin_prefetch(gamma_.data() + i);
+    if (!gamma_.empty()) __builtin_prefetch(&gamma_.back());
+    for (const NodeId id :
+         next.first(std::min(next.size(), Sketch::kPrehashBlock)))
+      members_.prefetch(id);
+  }
+
   NodeId sample() override {
     if (gamma_.empty())
       throw std::logic_error("sample() before any id was processed");

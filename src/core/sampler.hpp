@@ -50,6 +50,12 @@ class NodeSampler {
     return false;
   }
 
+  /// Warms the state a process_stream(next) call reads first, so a caller
+  /// that knows which sampler runs next can overlap its cache misses with
+  /// other work.  Const and free of side effects: no RNG draw, no counter
+  /// or Gamma change.  The default does nothing.
+  virtual void prefetch(std::span<const NodeId> next) const { (void)next; }
+
   /// Batched equivalent of calling process() once per id, appending each
   /// emitted id to `output`.  Bit-identical to the per-item loop (same ids,
   /// same RNG consumption) — overrides exist purely to hoist per-item

@@ -1,5 +1,6 @@
 #include "sim/gossip.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace unisamp {
@@ -27,6 +28,7 @@ GossipNetwork::GossipNetwork(Topology topology, GossipConfig config,
       // observer rank, so stride 1 reproduces the historic seeds exactly.
       cfg.seed = derive_seed(config.seed, 0x1000 + i);
       nodes_[i].service = std::make_unique<SamplingService>(cfg);
+      observers_.push_back(static_cast<std::uint32_t>(i));
     }
   }
   forged_ids_.reserve(config_.forged_id_count);
@@ -73,27 +75,48 @@ DeliveryOutcome GossipNetwork::accept_delivery(std::size_t to, NodeId id,
 }
 
 void GossipNetwork::flush_tick(std::size_t bandwidth) {
+  // A software pipeline over the instrumented nodes (group prefetching,
+  // Chen, Ailamaki, Gibbons & Mowry, ICDE 2004).  Each node's sampler state
+  // is cold by the time its inbox flushes, so while node j ingests, the
+  // loads the next nodes start with are already on their way: node j+3's
+  // service object, node j+2's sampler object and inbox, node j+1's
+  // sketch, Gamma and membership slots.  Prefetches change no state, so
+  // every service ends as a plain node-by-node flush leaves it.
+  const std::size_t count = observers_.size();
   try {
-    for (NodeState& state : nodes_) {
-      if (!state.service || state.pending.empty()) continue;
-      if (bandwidth == 0 || state.pending.size() <= bandwidth) {
-        state.service->on_receive_stream(state.pending);
-        state.pending.clear();
-      } else {
-        // Bandwidth-limited drain: the oldest `bandwidth` ids reach the
-        // sampler, the rest stay pending for the next tick's flush.
-        state.service->on_receive_stream(
-            std::span<const NodeId>(state.pending.data(), bandwidth));
-        state.pending.erase(
-            state.pending.begin(),
-            state.pending.begin() + static_cast<std::ptrdiff_t>(bandwidth));
+    for (std::size_t j = 0; j < count; ++j) {
+      if (j + 3 < count)
+        __builtin_prefetch(nodes_[observers_[j + 3]].service.get());
+      if (j + 2 < count) {
+        const NodeState& ahead = nodes_[observers_[j + 2]];
+        if (!ahead.pending.empty()) {
+          __builtin_prefetch(&ahead.service->sampler());
+          __builtin_prefetch(ahead.pending.data());
+        }
       }
+      if (j + 1 < count) {
+        const NodeState& next = nodes_[observers_[j + 1]];
+        if (!next.pending.empty())
+          next.service->sampler().prefetch(next.pending);
+      }
+      NodeState& state = nodes_[observers_[j]];
+      if (state.pending.empty()) continue;
+      // Bandwidth-limited drain: the oldest `bandwidth` ids reach the
+      // sampler, the rest stay pending for the next tick's flush.
+      const std::size_t take = bandwidth == 0
+                                   ? state.pending.size()
+                                   : std::min(bandwidth, state.pending.size());
+      state.service->on_receive_stream(
+          std::span<const NodeId>(state.pending.data(), take));
+      state.pending.erase(
+          state.pending.begin(),
+          state.pending.begin() + static_cast<std::ptrdiff_t>(take));
     }
   } catch (...) {
     // A throwing service (e.g. an omniscient sampler fed a forged id) must
     // not replay this tick's ids on a later flush — neither its own nor
     // those of nodes the loop had not reached yet.
-    for (NodeState& state : nodes_) state.pending.clear();
+    for (const std::uint32_t i : observers_) nodes_[i].pending.clear();
     throw;
   }
   ++rounds_;

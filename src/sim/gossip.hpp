@@ -134,12 +134,16 @@ struct GossipConfig {
 ///    possible with an omniscient sampler fed an out-of-population id),
 ///    delivered() and the recorded inputs already count the buffered ids,
 ///    some of which never reached a sampler; every node's buffered ids are
-///    dropped, never replayed.
+///    dropped, never replayed (see flush_tick for what each node keeps).
+///  - Flush order: flush_tick visits the instrumented nodes in index
+///    order, a list built once at construction.  Uninstrumented and
+///    byzantine nodes are never visited.
 ///  - Complexity: one tick is O(active nodes * degree * fanout) ids, each
 ///    costing O(sketch depth) in the destination's sampler.
 ///  - Memory: every knowledge cache is a ring in one n * knowledge_cache
-///    array of 8-byte ids, plus 8 bytes of fill and next-slot per node and
-///    a 56-byte NodeState per node.
+///    array of 8-byte ids, plus 8 bytes of fill and next-slot per node, a
+///    56-byte NodeState per node and a 4-byte flush-list entry per
+///    instrumented node.
 ///  - Thread-safety: none; drive a network from one thread.
 class GossipNetwork {
  public:
@@ -172,12 +176,17 @@ class GossipNetwork {
                                   std::size_t inbox_capacity);
 
   /// End of tick: flushes every pending inbox through the batched service
-  /// ingest path and advances rounds_run().  `bandwidth` > 0 drains at
-  /// most that many ids per node (FIFO; the remainder carries over to the
-  /// next tick's flush); 0 drains everything (infinite bandwidth, the
-  /// degenerate rounds config).  On a service throw, every node's pending
-  /// ids are dropped (see the class contract) and the exception
-  /// propagates.
+  /// ingest path, instrumented nodes in index order, and advances
+  /// rounds_run().  `bandwidth` > 0 drains at most that many ids per node
+  /// (FIFO; the remainder carries over to the next tick's flush); 0 drains
+  /// everything (infinite bandwidth, the degenerate rounds config).  While
+  /// a node ingests, the flush prefetches the next nodes' sampler state
+  /// (NodeSampler::prefetch), which changes no state.  On a service throw:
+  /// every node flushed before the thrower is fully accounted, the thrower
+  /// keeps the ids its sampler accepted (SamplingService's contract), the
+  /// nodes after it keep nothing, every node's pending ids are dropped
+  /// (see the class contract), rounds_run() does not advance, and the
+  /// exception propagates.
   void flush_tick(std::size_t bandwidth);
 
   /// Warms what accept_delivery(to, ...) touches first: the node's state
@@ -264,6 +273,7 @@ class GossipNetwork {
   Topology topology_;
   GossipConfig config_;
   std::vector<NodeState> nodes_;
+  std::vector<std::uint32_t> observers_;  ///< instrumented nodes, in order
   std::vector<NodeId> rings_;  ///< every node's knowledge ring
   std::vector<RingCursor> cursors_;
   std::vector<bool> active_;

@@ -132,6 +132,26 @@ class CountMinSketch {
     }
   }
 
+  /// Warms a table below kPrefetchMinBytes whole, with the hash
+  /// coefficients, ahead of a batch on a sketch that has gone cold (the
+  /// simulator's flush runs thousands of small sketches in turn).  Larger
+  /// tables are left to prehash_block, which prefetches the lines a block
+  /// touches.  Changes nothing.
+  void prefetch() const {
+    const std::size_t bytes = layout_.padded_count() * sizeof(std::uint64_t);
+    if (bytes >= sketch_detail::kPrefetchMinBytes) return;
+    const char* const table = reinterpret_cast<const char*>(table_.data());
+    for (std::size_t off = 0; off < bytes; off += 64)
+      __builtin_prefetch(table + off, 1);
+    const char* const a = reinterpret_cast<const char*>(a_.data());
+    const char* const b = reinterpret_cast<const char*>(b_.data());
+    for (std::size_t off = 0; off < layout_.depth * sizeof(std::uint64_t);
+         off += 64) {
+      __builtin_prefetch(a + off);
+      __builtin_prefetch(b + off);
+    }
+  }
+
   /// update_and_estimate(items[i], count) consuming prehashed indices.
   /// Two-way unrolled with independent accumulators: each row's cell is
   /// distinct (physical index === row mod stride), so the per-cell work is
@@ -304,6 +324,7 @@ class ConservativeCountMinSketch : private CountMinSketch {
   using CountMinSketch::estimate_prehashed;
   using CountMinSketch::kernel_name;
   using CountMinSketch::min_counter;
+  using CountMinSketch::prefetch;
   using CountMinSketch::prehash_block;
   using CountMinSketch::rekey;  // no state of its own to reset
   using CountMinSketch::total_count;

@@ -66,6 +66,7 @@ class DecayingCountMinSketch : private CountMinSketch {
   using CountMinSketch::estimate_prehashed;
   using CountMinSketch::kernel_name;
   using CountMinSketch::min_counter;
+  using CountMinSketch::prefetch;
   using CountMinSketch::total_count;
   using CountMinSketch::width;
 

@@ -69,8 +69,9 @@ inline constexpr std::size_t kMaxDepth = 64;
 inline constexpr std::size_t kPrehashBlock = 16;
 
 /// Tables at least this large get their counter lines software-prefetched
-/// at prehash time; smaller tables are L1-resident anyway and the prefetch
-/// instructions would be pure overhead.
+/// at prehash time; smaller tables stay L1-resident through a batch, so the
+/// per-id prefetch would be pure overhead.  A small table that went cold
+/// between batches is warmed whole by CountMinSketch::prefetch instead.
 inline constexpr std::size_t kPrefetchMinBytes = 16 * 1024;
 
 /// The concrete kernel a request resolved to (what actually runs).

@@ -319,6 +319,70 @@ TEST(SimDriverDifferential, KnowledgeCacheSizesArePinned) {
   }
 }
 
+// The flush visits the instrumented nodes as a software pipeline: it warms
+// the next nodes' sampler state and settles each output histogram one node
+// late.  None of that may change what any node holds.  These checksums were
+// captured while the flush still walked every node and settled each
+// histogram at once; they cover the engine counters, every Gamma and every
+// histogram, with every node and with every third node instrumented, in
+// rounds mode and under a bimodal, bandwidth-limited event mode.
+TEST(SimDriverDifferential, FlushPipelineStatesArePinned) {
+  LinkLatencyModel bimodal;
+  bimodal.kind = LinkLatencyModel::Kind::kBimodal;
+  bimodal.base = kTicksPerRound / 4;
+  bimodal.spread = kTicksPerRound / 2;
+  bimodal.far_fraction = 0.2;
+  bimodal.far_extra = 2 * kTicksPerRound;
+  bimodal.seed = 52;
+  const struct {
+    const char* name;
+    TimingModel timing;
+  } modes[] = {
+      {"rounds", TimingModel::rounds()},
+      {"bimodal event", TimingModel::event(bimodal, 6, 4)},
+  };
+  const struct {
+    std::size_t stride;
+    std::uint64_t checksum[2];  // one per mode, in `modes` order
+  } pins[] = {
+      {1, {7717123396173267928ULL, 14249831891805467013ULL}},
+      {3, {9691943586959690037ULL, 16377338048419934998ULL}},
+  };
+  for (const auto& pin : pins) {
+    for (std::size_t m = 0; m < 2; ++m) {
+      SCOPED_TRACE(::testing::Message() << "observer_stride=" << pin.stride
+                                        << ", " << modes[m].name);
+      GossipConfig g;
+      g.fanout = 3;
+      g.seed = 53;
+      g.byzantine_count = 4;
+      g.flood_factor = 5;
+      g.forged_id_count = 12;
+      g.observer_stride = pin.stride;
+      GossipNetwork net(Topology::small_world(40, 4, 0.1, 54), g,
+                        recording_service());
+      SimDriver driver(net, modes[m].timing);
+      driver.run_ticks(20);
+      const EngineStats& s = driver.stats();
+      std::uint64_t acc = kChecksumSeed;
+      for (const std::uint64_t v :
+           {s.events_processed, s.messages_sent, s.messages_delivered,
+            s.messages_heard, s.dropped_overflow, s.dropped_inactive,
+            s.peak_queue_depth, s.peak_inbox_backlog, net.delivered()})
+        acc = checksum_fold(acc, v);
+      for (std::size_t i = 0; i < net.size(); ++i) {
+        if (!net.has_service(i)) continue;
+        const SamplingService& service = net.service(i);
+        for (const NodeId id : service.sampler().memory())
+          acc = checksum_fold(acc, id);
+        acc = checksum_fold(acc, service.output_histogram().total());
+        acc = checksum_fold(acc, service.output_histogram().distinct());
+      }
+      EXPECT_EQ(acc, pin.checksum[m]);
+    }
+  }
+}
+
 // ------------------------------------------------------------- event timing
 
 GossipConfig event_gossip() {

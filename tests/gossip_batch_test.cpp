@@ -134,21 +134,48 @@ TEST(GossipBatchTest, RunsAreReproducible) {
 
 TEST(GossipBatchTest, ThrowingServiceLeavesConsistentAccounting) {
   // An omniscient service only knows ids [0, n); Byzantine forged ids lie
-  // far outside, so the round's flush throws.  The contract matches the
-  // per-item loop: ids accepted before the failure are fully accounted
-  // (histogram total == processed), the poisoned batch is dropped.
-  GossipConfig gossip = gossip_config(17, 4);
+  // far outside, so the round's flush throws.  The flush visits
+  // instrumented nodes in index order: every node flushed before the
+  // thrower ran its whole inbox and is fully accounted (histogram total ==
+  // processed), the thrower keeps the prefix it accepted, the nodes after
+  // it saw nothing, and no inbox keeps a pending id for a later flush.
+  // Without knowledge caches only the byzantine nodes' neighbours hear a
+  // forged id, and on this overlay the first three correct nodes are not
+  // among them.
+  constexpr std::size_t kNodes = 24;
+  constexpr std::size_t kByzantine = 2;
+  GossipConfig gossip = gossip_config(17, kByzantine);
+  gossip.knowledge_cache = 0;
   ServiceConfig sampler = sampler_config(Strategy::kOmniscient);
-  sampler.known_probabilities.assign(24, 1.0 / 24.0);
-  GossipNetwork net(Topology::random_regular(24, 4, 3), gossip, sampler);
+  sampler.known_probabilities.assign(kNodes, 1.0 / kNodes);
+  GossipNetwork net(Topology::random_regular(kNodes, 4, 5), gossip, sampler);
 
   EXPECT_THROW(SimDriver(net).run_ticks(1), std::out_of_range);
-  for (std::size_t i = 4; i < net.size(); ++i) {
-    // Recorded inputs include the poisoned ids; the service accounted only
-    // the prefix it accepted before the throw.
-    EXPECT_LE(net.service(i).processed(), net.input_stream(i).size());
-    EXPECT_EQ(net.service(i).output_histogram().total(),
-              net.service(i).processed());
+  // The thrower is the first node in flush order whose inbox held a forged
+  // id; the omniscient sampler accepts exactly the ids before it.
+  std::size_t thrower = kNodes;
+  std::size_t accepted = 0;
+  for (std::size_t i = kByzantine; i < kNodes && thrower == kNodes; ++i) {
+    const Stream& inbox = net.input_stream(i);
+    for (std::size_t k = 0; k < inbox.size(); ++k) {
+      if (inbox[k] >= kNodes) {
+        thrower = i;
+        accepted = k;
+        break;
+      }
+    }
+  }
+  ASSERT_GT(thrower, kByzantine + 1) << "fewer than two nodes flushed first";
+  ASSERT_LT(thrower, kNodes);
+  for (std::size_t i = kByzantine; i < kNodes; ++i) {
+    SCOPED_TRACE(::testing::Message() << "node " << i);
+    const SamplingService& service = net.service(i);
+    const std::uint64_t expected = i < thrower    ? net.input_stream(i).size()
+                                   : i == thrower ? accepted
+                                                  : 0;
+    EXPECT_EQ(service.processed(), expected);
+    EXPECT_EQ(service.output_histogram().total(), service.processed());
+    EXPECT_EQ(net.inbox_depth(i), 0u);
   }
 }
 

@@ -83,6 +83,66 @@ TEST_P(ServiceBatchTest, UnrecordedOutputStillFeedsHistogram) {
   EXPECT_EQ(unrecorded.output_histogram().total(), input.size());
 }
 
+// Every counter of the strategy's sketch, row-major; empty for omniscient.
+std::vector<std::uint64_t> sketch_cells(const NodeSampler& sampler) {
+  std::vector<std::uint64_t> cells;
+  const auto read = [&cells](const auto& sketch) {
+    for (std::size_t r = 0; r < sketch.depth(); ++r)
+      for (std::size_t c = 0; c < sketch.width(); ++c)
+        cells.push_back(sketch.counter_at(r, c));
+  };
+  if (const auto* kf = dynamic_cast<const KnowledgeFreeSampler*>(&sampler))
+    read(kf->sketch());
+  if (const auto* cons =
+          dynamic_cast<const ConservativeKnowledgeFreeSampler*>(&sampler))
+    read(cons->sketch());
+  if (const auto* decay =
+          dynamic_cast<const DecayingKnowledgeFreeSampler*>(&sampler))
+    read(decay->sketch());
+  return cells;
+}
+
+TEST_P(ServiceBatchTest, PrefetchChangesNothing) {
+  const std::size_t n = 60;
+  const Stream input = biased_stream(n, 6000, 13);
+  SamplingService plain(config_for(GetParam(), n, true));
+  SamplingService warmed(config_for(GetParam(), n, true));
+  const NodeSampler& sampler = warmed.sampler();
+  const auto warm = [&sampler](std::span<const NodeId> next) {
+    sampler.prefetch(next);
+    sampler.prefetch({});
+  };
+
+  // Empty Gamma, fresh sketch.
+  warm(std::span(input).first(40));
+  EXPECT_TRUE(sampler.memory().empty());
+
+  const std::size_t chunk = 250;
+  for (std::size_t pos = 0; pos < input.size(); pos += chunk) {
+    const auto batch = std::span(input).subspan(pos, chunk);
+    if (pos == input.size() / 2) {
+      // Both re-keyed alike; the fresh key's sketch is warmed too.
+      EXPECT_EQ(plain.rekey_sampler(91), warmed.rekey_sampler(91));
+      warm(batch);
+    }
+    warm(batch);
+    plain.on_receive_stream(batch);
+    warmed.on_receive_stream(batch);
+    warm(batch.first(7));
+  }
+
+  EXPECT_EQ(plain.processed(), warmed.processed());
+  EXPECT_EQ(plain.output_stream(), warmed.output_stream());
+  EXPECT_EQ(plain.output_histogram(), warmed.output_histogram());
+  EXPECT_EQ(plain.sampler().memory(), sampler.memory());
+  EXPECT_EQ(sketch_cells(plain.sampler()), sketch_cells(sampler));
+  if (GetParam() != Strategy::kOmniscient) {
+    EXPECT_FALSE(sketch_cells(sampler).empty());
+  }
+  for (int i = 0; i < 32; ++i)
+    ASSERT_EQ(plain.sample(), warmed.sample()) << "sample " << i;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, ServiceBatchTest,
                          ::testing::Values(Strategy::kOmniscient,
                                            Strategy::kKnowledgeFree,
