@@ -44,7 +44,6 @@ FigureDef make_brahms_views();
 FigureDef make_gain_model_validation();
 FigureDef make_markov_stationary();
 FigureDef make_kernels();
-FigureDef make_micro_samplers();
 FigureDef make_network_gain();
 FigureDef make_online_diagnostics();
 FigureDef make_sybil_churn();

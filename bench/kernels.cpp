@@ -2,7 +2,8 @@
 // model asks to "keep pace with the data stream" (Sec. III-A) — the three
 // sampler strategies, Count-Min update and estimate, the batched and the
 // sharded SamplingService ingest, a gossip round under flooding,
-// targeted-attack ingestion and run_trials dispatch.
+// targeted-attack ingestion, run_trials dispatch and the two baseline
+// samplers (min-wise and reservoir).
 //
 // Each kernel is a bench_harness Scenario run through run_scenario() with
 // one warmup and 5 timed repetitions (1 under --quick); the runner refuses
@@ -16,13 +17,12 @@
 // checksum (a double cannot hold it whole; the series checksum folds the
 // exact halves, and stdout prints the joined value, since the CSV and the
 // sidecar round cells to 8 and 6 significant digits) — while the median
-// ns/op of each kernel goes to stderr, as in micro_samplers.  Scenario
-// indices:
+// ns/op of each kernel goes to stderr.  Scenario indices:
 // 0 sampler/omniscient, 1 sampler/knowledge_free, 2 sampler/conservative,
 // 3 sketch/count_min_update, 4 sketch/conservative_update,
 // 5 sketch/count_min_estimate, 6 service/batch_ingest,
 // 7 service/sharded_ingest, 8 gossip/round, 9 attack/targeted_ingest,
-// 10 parallel/run_trials.
+// 10 parallel/run_trials, 11 baseline/minwise, 12 baseline/reservoir.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -32,6 +32,8 @@
 #include <vector>
 
 #include "adversary/attacks.hpp"
+#include "baseline/minwise_sampler.hpp"
+#include "baseline/reservoir_sampler.hpp"
 #include "bench_harness/runner.hpp"
 #include "core/knowledge_free_sampler.hpp"
 #include "core/omniscient_sampler.hpp"
@@ -104,8 +106,8 @@ std::vector<bh::Scenario> kernel_scenarios() {
   std::vector<bh::Scenario> out;
   const auto add = [&out](bh::Scenario s) { out.push_back(std::move(s)); };
 
-  // The Zipf workload stream is shared by the three sampler scenarios and
-  // the service ingest scenario: one memo, built once per (items, seed).
+  // The Zipf workload stream is shared by the sampler, service ingest and
+  // baseline scenarios: one memo, built once per (items, seed).
   const auto stream = std::make_shared<Memo<Stream>>();
 
   // -- sampler strategy throughput (omniscient vs knowledge-free vs
@@ -348,6 +350,27 @@ std::vector<bh::Scenario> kernel_scenarios() {
          for (const std::uint64_t f : folds) acc = fold(acc, f);
          return bh::ScenarioResult{trials * kPerTrial, acc};
        }});
+
+  // -- the baselines the paper positions itself against (Sec. I, II), on
+  //    the shared Zipf stream.
+  add({"baseline/minwise",
+       "MinWiseSampler (Bortnikov et al.), 10 min-wise slots, same stream",
+       2'000'000, 100'000,
+       [stream](std::uint64_t items, std::uint64_t seed) {
+         const Stream& in = stream->get(items, seed, make_zipf_stream);
+         MinWiseSampler sampler(10, derive_seed(seed, 81));
+         const Stream out = sampler.run(in);
+         return bh::ScenarioResult{in.size(), fold_stream(out)};
+       }});
+  add({"baseline/reservoir",
+       "ReservoirSampler (Vitter's Algorithm R), c=100, same stream",
+       2'000'000, 100'000,
+       [stream](std::uint64_t items, std::uint64_t seed) {
+         const Stream& in = stream->get(items, seed, make_zipf_stream);
+         ReservoirSampler sampler(kMemory, derive_seed(seed, 82));
+         const Stream out = sampler.run(in);
+         return bh::ScenarioResult{in.size(), fold_stream(out)};
+       }});
   return out;
 }
 
@@ -370,7 +393,7 @@ FigureDef make_kernels() {
   def.slug = "kernels";
   def.artefact = "Kernel throughput";
   def.title = "per-element cost and checksum of the sampler, sketch, service, "
-              "gossip, attack and trial-pool kernels";
+              "gossip, attack, trial-pool and baseline kernels";
   def.settings = "Zipf(1.2) stream, n = 1000, c = 100, k = 10, s = 17; "
                  "1 warmup + 5 timed repetitions per kernel (1 under --quick)";
   def.seed = 1;

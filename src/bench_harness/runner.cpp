@@ -1,6 +1,7 @@
 #include "bench_harness/runner.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 namespace unisamp::bench_harness {
 
@@ -16,6 +17,7 @@ ScenarioReport run_scenario(const Scenario& scenario, const RunOptions& opts) {
 
   for (int i = 0; i < opts.warmup; ++i) scenario.run(budget, opts.seed);
 
+  std::vector<double> samples_ns_per_op;
   bool first = true;
   for (int i = 0; i < opts.repeats; ++i) {
     Stopwatch watch;
@@ -35,11 +37,10 @@ ScenarioReport run_scenario(const Scenario& scenario, const RunOptions& opts) {
       throw std::runtime_error("scenario '" + scenario.name +
                                "' is nondeterministic across repetitions");
     }
-    report.samples_ns_per_op.push_back(elapsed /
-                                       static_cast<double>(result.items));
+    samples_ns_per_op.push_back(elapsed / static_cast<double>(result.items));
   }
 
-  report.ns_per_op = SampleStats::from(report.samples_ns_per_op);
+  report.ns_per_op = SampleStats::from(samples_ns_per_op);
   if (report.ns_per_op.median > 0.0)
     report.items_per_sec = 1e9 / report.ns_per_op.median;
   return report;

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "bench_harness/scenario.hpp"
 #include "bench_harness/timing.hpp"
@@ -30,9 +29,8 @@ struct ScenarioReport {
   std::string description;
   std::uint64_t items = 0;
   std::uint64_t checksum = 0;
-  std::vector<double> samples_ns_per_op;  ///< one per timed repetition
-  SampleStats ns_per_op;                  ///< stats over the samples
-  double items_per_sec = 0.0;             ///< from the median
+  SampleStats ns_per_op;       ///< over the timed repetitions
+  double items_per_sec = 0.0;  ///< from the median
 };
 
 /// Runs one scenario under the options.  Throws std::runtime_error if

@@ -1,7 +1,6 @@
 #include "bench_harness/timing.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 namespace unisamp::bench_harness {
@@ -12,16 +11,8 @@ SampleStats SampleStats::from(std::span<const double> samples) {
   std::vector<double> sorted(samples.begin(), samples.end());
   std::sort(sorted.begin(), sorted.end());
   const std::size_t n = sorted.size();
-  s.min = sorted.front();
-  s.max = sorted.back();
   s.median = n % 2 == 1 ? sorted[n / 2]
                         : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-  double sum = 0.0;
-  for (const double x : sorted) sum += x;
-  s.mean = sum / static_cast<double>(n);
-  double var = 0.0;
-  for (const double x : sorted) var += (x - s.mean) * (x - s.mean);
-  s.stddev = std::sqrt(var / static_cast<double>(n));
   return s;
 }
 

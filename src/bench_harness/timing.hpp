@@ -1,13 +1,11 @@
 // Wall-clock measurement primitives for the benchmark harness.
 //
 // Stopwatch reads std::chrono::steady_clock (monotonic; immune to NTP
-// slews).  SampleStats condenses the per-repetition timings into the
-// summary the JSON report carries: the MEDIAN is the headline number
-// (robust to the one-off scheduling hiccups that dominate min/mean on a
-// loaded CI runner), min is reported as the "best case the hardware
-// allows", and stddev records run-to-run noise for the reader.  The
-// regression checker (tools/check_bench_regression.py) compares medians
-// against one fixed threshold and does not read stddev.
+// slews).  SampleStats condenses the per-repetition timings into their
+// MEDIAN, the headline number: robust to the one-off scheduling hiccups
+// that dominate min/mean on a loaded CI runner.  The regression checker
+// (tools/check_bench_regression.py) compares medians against one fixed
+// threshold.
 #pragma once
 
 #include <chrono>
@@ -19,9 +17,7 @@ class Stopwatch {
  public:
   Stopwatch() : start_(std::chrono::steady_clock::now()) {}
 
-  void reset() { start_ = std::chrono::steady_clock::now(); }
-
-  /// Nanoseconds since construction/reset.
+  /// Nanoseconds since construction.
   double elapsed_ns() const {
     return std::chrono::duration<double, std::nano>(
                std::chrono::steady_clock::now() - start_)
@@ -32,15 +28,11 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Summary statistics over a set of per-repetition samples.
+/// Summary of a set of per-repetition samples.
 struct SampleStats {
-  double min = 0.0;
-  double max = 0.0;
   double median = 0.0;
-  double mean = 0.0;
-  double stddev = 0.0;  ///< population standard deviation
 
-  /// Computes the summary; an empty span yields all zeros.
+  /// Computes the summary; an empty span yields zero.
   static SampleStats from(std::span<const double> samples);
 };
 

@@ -4,14 +4,6 @@
 #include <stdexcept>
 
 namespace unisamp {
-namespace {
-
-// Event mode warms the destination of the queue record this many places
-// ahead of each pop, so that delivery's cache misses overlap the pops
-// between (group prefetching, Chen, Ailamaki, Gibbons & Mowry, ICDE 2004).
-constexpr std::size_t kPrefetchAhead = 8;
-
-}  // namespace
 
 void SimDriver::schedule_set_active(std::uint64_t tick, std::size_t node,
                                     bool active) {
@@ -89,10 +81,6 @@ void SimDriver::run_ticks(std::size_t ticks) {
       if (event.kind == EventKind::kTickFlush) {
         net_.flush_tick(rounds_mode ? 0 : timing_.bandwidth_per_tick);
         break;
-      }
-      if (!rounds_mode) {
-        const std::uint32_t to = queue_.ahead(kPrefetchAhead);
-        if (to != EventQueue::kNoneAhead) net_.prefetch_delivery(to);
       }
       dispatch(event);
     }

@@ -136,18 +136,6 @@ class EventQueue {
   /// Removes and returns the earliest event.  Precondition: !empty().
   Event pop();
 
-  /// ahead() past the end of the current bucket's sorted records.
-  static constexpr std::uint32_t kNoneAhead = 0xFFFFFFFF;
-
-  /// The `to` of the current bucket's sorted record `k` places past the
-  /// one the next pop() considers, or kNoneAhead.  A cheap, approximate
-  /// look at deliveries to come — pushes into the current bucket and the
-  /// later ids of a link run are not counted — meant for prefetching.
-  std::uint32_t ahead(std::size_t k) const {
-    const std::size_t at = cursor_ + k;
-    return at < sorted_.size() ? sorted_[at].to : kNoneAhead;
-  }
-
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 

@@ -189,18 +189,6 @@ class GossipNetwork {
   /// exception propagates.
   void flush_tick(std::size_t bandwidth);
 
-  /// Warms what accept_delivery(to, ...) touches first: the node's state
-  /// and the knowledge-cache slot its next remembered id goes to.  Changes
-  /// nothing; the driver calls it for a delivery a few pops ahead.
-  void prefetch_delivery(std::size_t to) const {
-    __builtin_prefetch(&nodes_[to]);
-    if (config_.knowledge_cache == 0) return;
-    const RingCursor cursor = cursors_[to];
-    const std::size_t slot =
-        cursor.fill < config_.knowledge_cache ? cursor.fill : cursor.next;
-    __builtin_prefetch(&rings_[to * config_.knowledge_cache + slot], 1);
-  }
-
   /// Current depth of a node's pending inbox (backlog accounting).
   std::size_t inbox_depth(std::size_t node) const {
     return nodes_[node].pending.size();

@@ -3,10 +3,12 @@
 
 Usage: cli_usage_errors_test.py PATH/TO/unisamp_cli
 
-Runs the CLI on malformed numbers (signs, padding, junk, nan), gen-attack
-without 1 <= n <= m, run's sampler sizes out of range (--c outside
-[1, 2^20], --s outside [1, 64], --k * --s above 2^24 counters), effort's
-eta outside (0, 1), detect's --window=0 and an unknown --strategy, and
+Runs the CLI on malformed numbers (signs, padding, junk, nan), gen-trace
+scale 0, gen-attack without 1 <= n <= m, run's sampler sizes out of range
+(--c outside [1, 2^20], --s outside [1, 64], --k * --s above 2^24
+counters), kl's n above 2^24, effort's k outside [1, 4096], s outside
+[1, 64] and eta outside (0, 1), detect's --window=0 and an unknown
+--strategy, and
 asserts exit status exactly 2 with the usage text on stderr: not 1 (a
 runtime failure), not a signal (a crash), not 0 (a silently misread
 value).
@@ -43,7 +45,11 @@ def main(argv):
             ["gen-attack", "peak", "100", "10", out],
             ["gen-attack", "peak", "10", "100", out, "7x"],
             ["gen-trace", "nasa", "abc", out],
+            ["gen-trace", "nasa", "0", out],
             ["kl", trace, "-5"],
+            ["kl", trace, "16777217"],
+            ["kl", trace, "3000000000"],
+            ["kl", trace, "18446744073709551615"],
             ["run", trace, out, "--strategy=bogus"],
             ["run", trace, out, "--c= 5"],
             ["run", trace, out, "--seed=-1"],
@@ -56,6 +62,10 @@ def main(argv):
             ["detect", trace, "--window=+10"],
             ["detect", trace, "--window=0"],
             ["effort", "10", "1e3", "0.5"],
+            ["effort", "0", "5", "0.5"],
+            ["effort", "4097", "5", "0.5"],
+            ["effort", "10", "0", "0.5"],
+            ["effort", "10", "65", "0.5"],
             ["effort", "10", "5", "0.5x"],
             ["effort", "10", "5", "abc"],
             ["effort", "10", "5", "nan"],

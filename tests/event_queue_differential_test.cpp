@@ -10,7 +10,7 @@
 // the past as well as the future), link runs: bursts of ids on one link,
 // which the queue keeps in one record, and the seams of the sorted bucket
 // drain: pushes into the bucket whose sorted records are half popped,
-// overflow events admitted straight into the current bucket, and ahead().
+// overflow events admitted straight into the current bucket.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -470,39 +470,6 @@ TEST(EventQueueDifferential, LinkRunHalfPoppedAtTheCursor) {
   ASSERT_TRUE(q.push(t, EventKind::kChurn, 9, 0, 40));
   ASSERT_TRUE(q.push(t, EventKind::kMessage, 6, 2, 50));
   ASSERT_TRUE(q.drain());
-}
-
-TEST(EventQueueAhead, PeeksAtLaterSortedRecords) {
-  EventQueue q;
-  EXPECT_EQ(q.ahead(0), EventQueue::kNoneAhead);
-  // One future bucket: eight ids on distinct links at scrambled times, and
-  // a run of two ids on one link, which is one record.
-  const SimTime t = 3 * Peer::kBucketWidth;
-  const SimTime offsets[] = {40, 10, 70, 20, 60, 30, 80, 50};
-  for (std::uint32_t i = 0; i < 8; ++i)
-    q.push(t + offsets[i], EventKind::kMessage, 100 + i, 200 + i, i);
-  q.push(t + 45, EventKind::kMessage, 1, 300, 8);
-  q.push(t + 45, EventKind::kMessage, 1, 300, 9);
-  // Destinations in (time, key) order, one per record.
-  const std::uint32_t order[] = {201, 203, 205, 200, 300, 207, 204, 202, 206};
-  EXPECT_EQ(q.pop().to, order[0]);  // the advance sorts the bucket
-  for (std::size_t k = 0; k < 8; ++k) EXPECT_EQ(q.ahead(k), order[1 + k]);
-  EXPECT_EQ(q.ahead(8), EventQueue::kNoneAhead);
-  // A push into the current bucket goes to the small heap, not the array.
-  q.push(t, EventKind::kTickBegin, 0, 0, 0);
-  EXPECT_EQ(q.ahead(0), order[1]);
-  EXPECT_EQ(q.pop().kind, EventKind::kTickBegin);
-  EXPECT_EQ(q.pop().to, order[1]);
-  EXPECT_EQ(q.ahead(0), order[2]);
-  EXPECT_EQ(q.ahead(6), order[8]);
-  EXPECT_EQ(q.ahead(7), EventQueue::kNoneAhead);
-  for (int i = 0; i < 2; ++i) q.pop();  // up to the run's first id
-  EXPECT_EQ(q.pop().payload, 8u);
-  EXPECT_EQ(q.ahead(0), order[4]);  // the run's rest stays at the cursor
-  EXPECT_EQ(q.pop().payload, 9u);
-  EXPECT_EQ(q.ahead(0), order[5]);
-  while (!q.empty()) q.pop();
-  EXPECT_EQ(q.ahead(0), EventQueue::kNoneAhead);
 }
 
 TEST(EventQueueLimit, PushThrowsLengthErrorAtTheSeqLimit) {

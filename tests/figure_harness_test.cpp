@@ -8,11 +8,15 @@
 //    and therefore checksums — for ANY thread count (the figures average
 //    trials on the util/parallel pool),
 //  - unisamp-figure-v1 sidecar validity: syntactically well-formed JSON
-//    carrying the required schema fields for at least three ported figures.
+//    carrying the required schema fields for at least three ported figures,
+//  - every kernels row's 64-bit checksum at --quick, so a drifting kernel
+//    is named in tier-1 and the sanitizer jobs, not only as one folded
+//    series checksum in the figure smoke gate.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -243,9 +247,9 @@ TEST(FigureSeriesTest, ChecksumCoversEveryCellAndRow) {
 // The figures the determinism/schema satellites exercise: one
 // pure-analysis figure (fig3), one that averages trials on the thread pool
 // (fig8), one sampler sweep (fig10), and the kernel throughput record
-// (kernels: every sampler, sketch, service, gossip and run_trials kernel,
-// so they also run in the sanitizer jobs).  --quick keeps each under a
-// fraction of a second.
+// (kernels: every sampler, sketch, service, gossip, run_trials and
+// baseline kernel, so they also run in the sanitizer jobs).  --quick keeps
+// each under a fraction of a second.
 std::vector<figures::FigureDef> sampled_defs() {
   std::vector<figures::FigureDef> defs;
   defs.push_back(figures::make_fig3_targeted_effort());
@@ -296,6 +300,41 @@ TEST(FigureDeterminismTest, DifferentSeedMovesSamplerChecksums) {
   FigureSeries two;
   def.compute(ctx, two);
   EXPECT_NE(one.checksum(), two.checksum());
+}
+
+TEST(KernelChecksumTest, QuickRowChecksumsArePinned) {
+  // hi << 32 | lo of each kernels row at --quick, seed 1, in scenario
+  // index order (bench/kernels.cpp lists the indices).
+  const std::uint64_t pinned[] = {
+      10185677242640801978ULL,  // sampler/omniscient
+      13435266516359986437ULL,  // sampler/knowledge_free
+      13742925560828984941ULL,  // sampler/conservative
+      12887288460845653ULL,     // sketch/count_min_update
+      17518717787947462080ULL,  // sketch/conservative_update
+      13702447785015781381ULL,  // sketch/count_min_estimate
+      11158932963329378405ULL,  // service/batch_ingest
+      6837974802887346218ULL,   // service/sharded_ingest
+      8031940321729951731ULL,   // gossip/round
+      2871202148011197595ULL,   // attack/targeted_ingest
+      7149820555440393962ULL,   // parallel/run_trials
+      371833664106335584ULL,    // baseline/minwise
+      225145449743129199ULL,    // baseline/reservoir
+  };
+  const auto def = figures::make_kernels();
+  FigureContext ctx;
+  ctx.quick = true;
+  ctx.seed = def.seed;
+  FigureSeries series;
+  series.columns = def.columns;
+  def.compute(ctx, series);
+  ASSERT_EQ(series.rows.size(), std::size(pinned));
+  for (std::size_t i = 0; i < series.rows.size(); ++i) {
+    const auto& row = series.rows[i];
+    EXPECT_EQ(row[0], static_cast<double>(i));
+    const std::uint64_t checksum = static_cast<std::uint64_t>(row[2]) << 32 |
+                                   static_cast<std::uint64_t>(row[3]);
+    EXPECT_EQ(checksum, pinned[i]) << "kernels row " << i;
+  }
 }
 
 TEST(FigureSidecarTest, JsonIsValidAndCarriesSchemaFields) {

@@ -18,7 +18,9 @@ and locally (ctest entry `docs_check`):
 4. Figure-catalogue drift — every figure/table bench binary (one per
    bench/<name>.cpp, minus the shared figure_main.cpp) must be documented
    in docs/figures.md by name; a new paper artefact must be catalogued
-   before it ships, exactly like a new src/ subsystem.
+   before it ships, exactly like a new src/ subsystem.  The other way
+   round, every `### … — `name`` section of docs/figures.md must have a
+   bench/<name>.cpp; a deleted artefact must not keep its section.
 5. Defense-playbook drift — every scenario::AttackKind slug (parsed from
    the to_string switch in src/scenario/spec.cpp) must appear in
    docs/defenses.md; a new attack kind must get a playbook row before it
@@ -38,6 +40,9 @@ import sys
 # [text](target) — target captured up to the first ')'; images excluded by
 # the (?<!!) lookbehind.
 LINK_RE = re.compile(r"(?<!!)\[[^\]]*\]\(([^)\s]+)\)")
+
+# `### Figure 3 — `fig3_targeted_effort`` — a figure catalogue section.
+SECTION_RE = re.compile(r"^### .* — `(\w+)`\s*$", re.MULTILINE)
 
 # `dir/.../name.ext` — a whole backticked span naming one repo file (globs
 # and brace lists fall outside the character class and never match).
@@ -137,6 +142,11 @@ def main(argv):
                 problems.append(
                     f"docs/figures.md: missing section for bench/{name} "
                     "(new figure/table bench without a catalogue entry)")
+        for name in SECTION_RE.findall(figures_text):
+            if name not in benches:
+                problems.append(
+                    f"docs/figures.md: section `{name}` has no "
+                    f"bench/{name}.cpp (deleted artefact still catalogued)")
 
     # 5. Every AttackKind slug has a playbook entry in docs/defenses.md.
     defenses_doc = os.path.join(docs_dir, "defenses.md")

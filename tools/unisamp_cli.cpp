@@ -11,10 +11,11 @@
 // Traces are one-id-per-line text files ('#' comments allowed).
 // Exit status: 0 = success, 1 = runtime failure (e.g. an unreadable or
 // malformed trace, or an omniscient run on an id above 2^24 - 1), 2 = usage
-// error (unknown command or option value, malformed number, gen-attack
-// without 1 <= n <= m, run's --c outside [1, 2^20], --s outside [1, 64] or
-// --k * --s above 2^24 counters, effort's eta outside (0, 1), detect's
-// --window=0).
+// error (unknown command or option value, malformed number, gen-trace
+// scale 0, gen-attack without 1 <= n <= m, run's --c outside [1, 2^20], --s
+// outside [1, 64] or --k * --s above 2^24 counters, kl's n above 2^24,
+// effort's k outside [1, 4096], s outside [1, 64] or eta outside (0, 1),
+// detect's --window=0).
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -65,6 +66,14 @@ constexpr NodeId kMaxOmniscientId = (NodeId{1} << 24) - 1;
 constexpr std::uint64_t kMaxMemorySize = std::uint64_t{1} << 20;
 constexpr std::uint64_t kMaxSketchCounters = std::uint64_t{1} << 24;
 
+/// Largest domain `kl` accepts: its uniform reference is a dense vector of
+/// n doubles, the same 128 MiB ceiling as kMaxOmniscientId.
+constexpr std::uint64_t kMaxKlDomain = kMaxOmniscientId + 1;
+
+/// Largest sketch width `effort` accepts: the flooding solve is quadratic
+/// in k, so doubling k quadruples its run time.
+constexpr std::uint64_t kMaxEffortWidth = 4096;
+
 /// A bad command line: main prints the message and the usage, exits 2.
 struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
@@ -103,6 +112,7 @@ int cmd_gen_trace(int argc, char** argv) {
   const std::uint64_t scale = arg_u64(argv[1]);
   const std::string out = argv[2];
   const std::uint64_t seed = argc > 3 ? arg_u64(argv[3]) : 1;
+  if (scale == 0) throw UsageError("gen-trace scale must be positive");
   const WebTraceSpec* spec = nullptr;
   if (which == "nasa") spec = &nasa_trace_spec();
   else if (which == "clarknet") spec = &clarknet_trace_spec();
@@ -212,6 +222,7 @@ int cmd_run(int argc, char** argv) {
 int cmd_kl(int argc, char** argv) {
   if (argc < 1) return usage();
   std::uint64_t n = argc > 1 ? arg_u64(argv[1]) : 0;
+  if (n > kMaxKlDomain) throw UsageError("kl's n must be at most 2^24");
   const Stream trace = load_stream_text(argv[0]);
   if (n == 0) {
     FrequencyHistogram h;
@@ -229,6 +240,10 @@ int cmd_effort(int argc, char** argv) {
   const std::uint64_t k = arg_u64(argv[0]);
   const std::uint64_t s = arg_u64(argv[1]);
   const double eta = arg_eta(argv[2]);
+  if (k == 0 || k > kMaxEffortWidth)
+    throw UsageError("effort's k must be in [1, 4096]");
+  if (s == 0 || s > sketch_detail::kMaxDepth)
+    throw UsageError("effort's s must be in [1, 64]");
   std::printf("k=%llu s=%llu eta=%g:\n", static_cast<unsigned long long>(k),
               static_cast<unsigned long long>(s), eta);
   std::printf("  targeted attack needs L_{k,s} = %llu distinct forged ids\n",
