@@ -1,6 +1,7 @@
 #include "scenario/spec.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -132,8 +133,12 @@ namespace {
 SimTime to_ticks(double rounds) {
   // llround of a single multiply: exact and identical on every IEEE-754
   // host, so latency configs written in round units stay deterministic.
-  return static_cast<SimTime>(
-      std::llround(rounds * static_cast<double>(kTicksPerRound)));
+  // A negative, NaN or too large a value lowers to the largest SimTime,
+  // which LinkLatencyModel::validate rejects.
+  const double ticks = rounds * static_cast<double>(kTicksPerRound);
+  if (!(ticks >= 0.0 && ticks < 0x1p62))
+    return std::numeric_limits<SimTime>::max();
+  return static_cast<SimTime>(std::llround(ticks));
 }
 }  // namespace
 
@@ -256,20 +261,13 @@ void validate(const ScenarioSpec& spec) {
             ": timing.kind is rounds but event-mode knobs are set "
             "(latency/inbox_capacity/bandwidth_per_round)");
     } else {
-      // A latency of at most 10^6 rounds lowers to at most 10^12 ticks, so
-      // a send time plus a transit cannot wrap SimTime.  The negated range
-      // test also rejects NaN.
-      const auto check_latency = [&](double rounds, const char* knob) {
-        if (!(rounds >= 0.0 && rounds <= 1e6))
-          throw std::invalid_argument(spec.name + ": timing." + knob +
-                                      " must be finite, in [0, 1e6] rounds");
-      };
-      check_latency(timing.latency_base, "latency_base");
-      check_latency(timing.latency_spread, "latency_spread");
-      if (!(timing.far_fraction >= 0.0 && timing.far_fraction <= 1.0))
-        throw std::invalid_argument(
-            spec.name + ": timing.far_fraction outside [0, 1]");
-      check_latency(timing.far_extra, "far_extra");
+      // The latency bounds are the model's own, checked on the model the
+      // spec lowers to (its seed does not matter here).
+      try {
+        timing.build(0).latency.validate();
+      } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(spec.name + ": timing: " + e.what());
+      }
       if (timing.latency == TimingSpec::LatencyKind::kSynchronized &&
           (timing.latency_base != 0.0 || timing.latency_spread != 0.0 ||
            timing.far_fraction != 0.0 || timing.far_extra != 0.0))

@@ -1,14 +1,22 @@
 #include "sim/driver.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace unisamp {
+
+SimDriver::SimDriver(GossipNetwork& net, TimingModel timing)
+    : net_(net), timing_(timing) {
+  if (timing_.kind == TimingModel::Kind::kEvent) timing_.latency.validate();
+}
 
 void SimDriver::schedule_set_active(std::uint64_t tick, std::size_t node,
                                     bool active) {
   if (tick < tick_)
     throw std::invalid_argument("cannot schedule churn in the past");
+  if (tick > std::numeric_limits<SimTime>::max() / kTicksPerRound)
+    throw std::invalid_argument("churn tick's start time overflows SimTime");
   if (node >= net_.size())
     throw std::out_of_range("churn event targets a node outside the network");
   queue_.push(tick * kTicksPerRound, EventKind::kChurn,
@@ -40,11 +48,17 @@ void SimDriver::dispatch(const Event& event) {
           note_outcome(net_.accept_delivery(to, id, 0));
         });
       } else {
-        net_.emit_sends(event.from, [this, &event](std::uint32_t to,
-                                                   NodeId id) {
+        // emit_sends hands over a link's ids back to back, so the transit
+        // is hashed once per link.  No node id equals `link`'s start value.
+        std::uint64_t link = ~std::uint64_t{0};
+        SimTime arrival = 0;
+        net_.emit_sends(event.from, [&](std::uint32_t to, NodeId id) {
           ++stats_.messages_sent;
-          queue_.push(event.time + timing_.latency.transit(event.from, to),
-                      EventKind::kMessage, event.from, to, id);
+          if (to != link) {
+            link = to;
+            arrival = event.time + timing_.latency.transit(event.from, to);
+          }
+          queue_.push(arrival, EventKind::kMessage, event.from, to, id);
         });
       }
       return;
@@ -69,9 +83,7 @@ void SimDriver::run_ticks(std::size_t ticks) {
   for (std::size_t i = 0; i < ticks; ++i) {
     const SimTime now = tick_ * kTicksPerRound;
     queue_.push(now, EventKind::kTickBegin, 0, 0, 0);
-    for (std::size_t n = 0; n < net_.size(); ++n)
-      queue_.push(now, EventKind::kNodeSend, static_cast<std::uint32_t>(n), 0,
-                  0);
+    queue_.push_sends(now, static_cast<std::uint32_t>(net_.size()));
     // The flush closes the tick at the next boundary instant; its
     // kTickFlush rank sorts it before anything else scheduled there.
     queue_.push(now + kTicksPerRound, EventKind::kTickFlush, 0, 0, 0);

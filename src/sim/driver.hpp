@@ -24,7 +24,8 @@
 // observationally identical (a node never delivers to itself, so eager
 // knowledge updates commute with the rest of its own send loop, and
 // per-receiver order is preserved) and keeps the gossip/round hot path at
-// O(1) queue operations per node per tick instead of per id; the
+// one O(1) queue pop per node per tick instead of a push and a pop per id
+// (a tick's sends are queued as one record, EventQueue::push_sends); the
 // equivalence is pinned by event_engine_test.cpp, which also checks that
 // zero-latency EVENT mode — where every id does traverse the queue —
 // matches rounds mode bit-for-bit.
@@ -83,20 +84,23 @@ struct TimingModel {
 ///  - Exception safety: a service throw during the tick flush propagates
 ///    after the network has dropped all pending ids (GossipNetwork
 ///    contract); the failed tick is not counted in ticks_run().
+///  - Validation: an event-mode latency model that fails
+///    LinkLatencyModel::validate() is rejected on construction with
+///    std::invalid_argument.
 ///  - Thread-safety: none.
 class SimDriver {
  public:
   explicit SimDriver(GossipNetwork& net,
-                     TimingModel timing = TimingModel::rounds())
-      : net_(net), timing_(timing) {}
+                     TimingModel timing = TimingModel::rounds());
 
   /// Advances virtual time by `ticks` whole ticks (= protocol rounds).
   void run_ticks(std::size_t ticks);
 
   /// Schedules a timestamped join/leave: node becomes (in)active at the
   /// START of tick `tick` (after that tick's flush-predecessors, before
-  /// its adversary hook and sends).  `tick` is on this driver's clock and
-  /// must not lie in the past.
+  /// its adversary hook and sends).  `tick` is on this driver's clock; one
+  /// in the past, or one whose start time overflows SimTime, throws
+  /// std::invalid_argument.
   void schedule_set_active(std::uint64_t tick, std::size_t node, bool active);
 
   /// Completed ticks on this driver's clock.

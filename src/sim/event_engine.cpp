@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -15,12 +16,28 @@ bool EventQueue::later(const Record& a, const Record& b) {
 }
 
 void EventQueue::throw_seq_limit() {
-  throw std::length_error("EventQueue: 2^61 pushes, seq would overflow");
+  throw std::length_error("EventQueue: 2^61 events, seq would overflow");
 }
 
 void EventQueue::push_heap(std::vector<Record>& heap, const Record& rec) {
   heap.push_back(rec);
   std::push_heap(heap.begin(), heap.end(), later);
+}
+
+std::uint64_t EventQueue::push_sends(SimTime time, std::uint32_t count) {
+  if (count > kSeqLimit - next_seq_) [[unlikely]]
+    throw_seq_limit();
+  const std::uint64_t seq = next_seq_;
+  if (count == 0) return seq;
+  next_seq_ += count;
+  size_ += count;
+  if (size_ > peak_) peak_ = size_;
+  place(Record{time,
+               static_cast<std::uint64_t>(EventKind::kNodeSend) << kSeqBits |
+                   seq,
+               0, 0, count, 0, {0, 0}});
+  last_ = nullptr;
+  return seq;
 }
 
 Event EventQueue::pop() {
@@ -40,7 +57,11 @@ Event EventQueue::pop() {
     // The rest of the run holds the next seqs at the same (time, kind), so
     // no other record sorts between: it stays the least of its array or
     // heap in place.
-    ++top.head;
+    if (kind == EventKind::kNodeSend) {
+      ++top.from;
+    } else {
+      ++top.head;
+    }
     --top.len;
     ++top.key;
   } else if (from_sorted) {
@@ -146,6 +167,20 @@ void EventQueue::sort_bucket() {
     if (!std::is_sorted(first, last, by_key)) std::sort(first, last, by_key);
     first = last;
   }
+}
+
+void LinkLatencyModel::validate() const {
+  const auto check = [](SimTime term, const char* name) {
+    if (term > kMaxTerm)
+      throw std::invalid_argument(std::string("latency ") + name +
+                                  " is not in [0, 10^6] rounds");
+  };
+  check(base, "base");
+  check(spread, "spread");
+  check(far_extra, "far_extra");
+  // The negated range test also rejects NaN.
+  if (!(far_fraction >= 0.0 && far_fraction <= 1.0))
+    throw std::invalid_argument("latency far_fraction is not in [0, 1]");
 }
 
 SimTime LinkLatencyModel::transit(std::uint32_t from, std::uint32_t to) const {

@@ -87,18 +87,24 @@ struct Event {
 ///    and the heap's top.  Events beyond the horizon (e.g. churn scheduled
 ///    many ticks ahead) wait in an overflow heap, O(log f) each.  An
 ///    advance scans at most 256 slots; when only the overflow heap holds
-///    events it jumps straight to them.  A link run — up to two kMessage
-///    ids pushed back to back onto one ring slot with equal (time, from,
-///    to) — is one record, so its later id pops in O(1) with the cursor
-///    (or the heap's top) left in place.
-///  - Memory: ring slots store 48-byte records, one per link run, in 4 KiB
+///    events it jumps straight to them.  A run of events that hold
+///    consecutive seqs at one (time, kind) is one record, so its later
+///    events pop in O(1) with the cursor (or the heap's top) left in
+///    place.  Two kinds of run exist: a link run, up to two kMessage ids
+///    pushed back to back onto one ring slot with equal (time, from, to),
+///    and a send run, one tick's kNodeSend events for nodes 0..n-1 pushed
+///    by push_sends.  SimDriver pushes a tick's kTickBegin and its send
+///    run at the instant being drained, so the small heap holds O(1)
+///    records per tick, not n.
+///  - Memory: ring slots store 48-byte records, one per run, in 4 KiB
 ///    chunks recycled through a free list, so capacity stays at the peak
 ///    number of records in flight and is freed with the queue.  The sorted
 ///    array and the sort's scratch array each hold one bucket's records;
 ///    their capacity is reused from bucket to bucket.  size(), peak_size()
 ///    and in_flight_messages() count events (ids), not records.
-///  - Limit: at most 2^61 pushes per queue (`seq` shares a word with the
-///    kind); the push that would reach 2^61 throws std::length_error.
+///  - Limit: at most 2^61 events per queue (`seq` shares a word with the
+///    kind); the push, or the push_sends, that would pass it throws
+///    std::length_error and leaves the queue as it was.
 ///  - Thread-safety: none.  Not copyable or movable: ring slots point
 ///    into chunks the queue owns.
 class EventQueue {
@@ -133,6 +139,13 @@ class EventQueue {
     return seq;
   }
 
+  /// Schedules `count` kNodeSend events at `time`, for nodes 0..count-1
+  /// in that order, with payload 0 and to 0; returns the first one's
+  /// sequence number.  Pops exactly as `count` push() calls would, and
+  /// size(), peak_size() and the seqs move the same, but it queues one
+  /// record.  `count` 0 schedules nothing.
+  std::uint64_t push_sends(SimTime time, std::uint32_t count);
+
   /// Removes and returns the earliest event.  Precondition: !empty().
   Event pop();
 
@@ -149,11 +162,12 @@ class EventQueue {
 
   static constexpr std::uint32_t kRunIds = 2;
 
-  /// A run of `len` events that differ only in payload and hold
-  /// consecutive seqs, packed into 48 bytes: the next to pop carries
-  /// payload ids[head].  `key` = kind << 61 | its seq, so (time, key)
-  /// orders exactly as (time, kind, seq).  Runs longer than one are
-  /// kMessage ids of one link.
+  /// A run of `len` events at one (time, kind) that hold consecutive
+  /// seqs, packed into 48 bytes.  `key` = kind << 61 | the next event's
+  /// seq, so (time, key) orders exactly as (time, kind, seq).  A kMessage
+  /// run is ids of one link and the next to pop carries payload ids[head];
+  /// a kNodeSend run is a tick's senders and the next to pop is node
+  /// `from`.
   struct Record {
     SimTime time;
     std::uint64_t key;
@@ -255,6 +269,16 @@ struct LinkLatencyModel {
   double far_fraction = 0.0;  ///< bimodal: share of links that are "far"
   SimTime far_extra = 0;      ///< bimodal: extra transit on far links
   std::uint64_t seed = 0;
+
+  /// Largest base, spread or far_extra validate() admits: 10^6 rounds.  A
+  /// transit is then at most 3 * 10^12 units, so adding it to a send time
+  /// cannot wrap SimTime, and spread + 1 cannot wrap to 0.
+  static constexpr SimTime kMaxTerm = 1'000'000 * kTicksPerRound;
+
+  /// Throws std::invalid_argument unless base, spread and far_extra are at
+  /// most kMaxTerm and far_fraction lies in [0, 1].  SimDriver checks its
+  /// event-mode model with this on construction.
+  void validate() const;
 
   /// Transit time of the directed link; pure function of (this, from, to).
   SimTime transit(std::uint32_t from, std::uint32_t to) const;

@@ -11,6 +11,7 @@ GossipNetwork::GossipNetwork(Topology topology, GossipConfig config,
       config_(config),
       nodes_(topology_.size()),
       active_(topology_.size(), true),
+      instrumented_(topology_.size(), false),
       rng_(derive_seed(config.seed, 0xC0551B)) {
   if (config_.byzantine_count >= topology_.size())
     throw std::invalid_argument("at least one correct node required");
@@ -28,6 +29,7 @@ GossipNetwork::GossipNetwork(Topology topology, GossipConfig config,
       // observer rank, so stride 1 reproduces the historic seeds exactly.
       cfg.seed = derive_seed(config.seed, 0x1000 + i);
       nodes_[i].service = std::make_unique<SamplingService>(cfg);
+      instrumented_[i] = true;
       observers_.push_back(static_cast<std::uint32_t>(i));
     }
   }
@@ -54,18 +56,21 @@ void GossipNetwork::remember(std::size_t node, NodeId id) {
 DeliveryOutcome GossipNetwork::accept_delivery(std::size_t to, NodeId id,
                                                std::size_t inbox_capacity) {
   if (!active_[to]) return DeliveryOutcome::kInactive;
+  // Knowledge caches update eagerly at delivery time — later senders at the
+  // same instant read them, so deferring this would change what gets
+  // gossiped.  Most receivers have no service: they stop here, without
+  // loading their NodeState.
+  if (!instrumented_[to]) {
+    remember(to, id);
+    return DeliveryOutcome::kHeard;
+  }
   NodeState& state = nodes_[to];
   // A tail-drop at a full inbox happens before the node "hears" the id:
   // no knowledge update, no stream accounting — the id simply never
   // arrived.  Unreachable with capacity 0 (the degenerate rounds config).
-  if (inbox_capacity > 0 && state.service != nullptr &&
-      state.pending.size() >= inbox_capacity)
+  if (inbox_capacity > 0 && state.pending.size() >= inbox_capacity)
     return DeliveryOutcome::kOverflow;
-  // Knowledge caches update eagerly at delivery time — later senders at the
-  // same instant read them, so deferring this would change what gets
-  // gossiped.
   remember(to, id);
-  if (!state.service) return DeliveryOutcome::kHeard;
   // The service feed is deferred: ids accumulate in per-node order and
   // flush at the tick boundary through the batched on_receive_stream path.
   state.pending.push_back(id);

@@ -142,8 +142,10 @@ struct GossipConfig {
 ///    costing O(sketch depth) in the destination's sampler.
 ///  - Memory: every knowledge cache is a ring in one n * knowledge_cache
 ///    array of 8-byte ids, plus 8 bytes of fill and next-slot per node, a
-///    56-byte NodeState per node and a 4-byte flush-list entry per
-///    instrumented node.
+///    56-byte NodeState per node, two bits per node (active, instrumented)
+///    and a 4-byte flush-list entry per instrumented node.  A delivery to
+///    a node without a service reads its bits and knowledge ring, never its
+///    NodeState.
 ///  - Thread-safety: none; drive a network from one thread.
 class GossipNetwork {
  public:
@@ -207,9 +209,7 @@ class GossipNetwork {
 
   /// Whether this node carries a SamplingService (correct AND on the
   /// observer stride).
-  bool has_service(std::size_t node) const {
-    return nodes_[node].service != nullptr;
-  }
+  bool has_service(std::size_t node) const { return instrumented_[node]; }
 
   /// Sampling service of an instrumented correct node (throws
   /// std::invalid_argument otherwise).
@@ -265,6 +265,7 @@ class GossipNetwork {
   std::vector<NodeId> rings_;  ///< every node's knowledge ring
   std::vector<RingCursor> cursors_;
   std::vector<bool> active_;
+  std::vector<bool> instrumented_;  ///< has_service(), without the NodeState
   std::vector<NodeId> forged_ids_;
   RoundAdversary* adversary_ = nullptr;
   Stream adversary_scratch_;  // per-(from,to) push buffer, reused

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "sim/churn.hpp"
@@ -325,7 +326,12 @@ TEST(SimDriverDifferential, KnowledgeCacheSizesArePinned) {
 // captured while the flush still walked every node and settled each
 // histogram at once; they cover the engine counters, every Gamma and every
 // histogram, with every node and with every third node instrumented, in
-// rounds mode and under a bimodal, bandwidth-limited event mode.
+// rounds mode and under a bimodal, bandwidth-limited event mode.  Two more
+// event legs were pinned before a tick's sends became one queue record and
+// receivers without a service stopped loading their NodeState: zero latency,
+// where ids arrive at the instant of the send run that is still popping, and
+// mid-run churn, where byzantine, instrumented and uninstrumented receivers
+// leave with ids in flight.  Both legs also drop ids at full inboxes.
 TEST(SimDriverDifferential, FlushPipelineStatesArePinned) {
   LinkLatencyModel bimodal;
   bimodal.kind = LinkLatencyModel::Kind::kBimodal;
@@ -337,19 +343,27 @@ TEST(SimDriverDifferential, FlushPipelineStatesArePinned) {
   const struct {
     const char* name;
     TimingModel timing;
+    bool churn;
   } modes[] = {
-      {"rounds", TimingModel::rounds()},
-      {"bimodal event", TimingModel::event(bimodal, 6, 4)},
+      {"rounds", TimingModel::rounds(), false},
+      {"bimodal event", TimingModel::event(bimodal, 6, 4), false},
+      {"zero-latency event", TimingModel::event(LinkLatencyModel{}, 6, 4),
+       false},
+      {"bimodal event, mid-run churn", TimingModel::event(bimodal, 6, 4), true},
   };
   const struct {
     std::size_t stride;
-    std::uint64_t checksum[2];  // one per mode, in `modes` order
+    std::uint64_t checksum[4];  // one per mode, in `modes` order
   } pins[] = {
-      {1, {7717123396173267928ULL, 14249831891805467013ULL}},
-      {3, {9691943586959690037ULL, 16377338048419934998ULL}},
+      {1,
+       {7717123396173267928ULL, 14249831891805467013ULL,
+        16796511722727510663ULL, 6137197174487221464ULL}},
+      {3,
+       {9691943586959690037ULL, 16377338048419934998ULL,
+        8636894692764376229ULL, 8485762589384618369ULL}},
   };
   for (const auto& pin : pins) {
-    for (std::size_t m = 0; m < 2; ++m) {
+    for (std::size_t m = 0; m < 4; ++m) {
       SCOPED_TRACE(::testing::Message() << "observer_stride=" << pin.stride
                                         << ", " << modes[m].name);
       GossipConfig g;
@@ -362,8 +376,23 @@ TEST(SimDriverDifferential, FlushPipelineStatesArePinned) {
       GossipNetwork net(Topology::small_world(40, 4, 0.1, 54), g,
                         recording_service());
       SimDriver driver(net, modes[m].timing);
+      if (modes[m].churn) {
+        // A byzantine node, instrumented nodes, a node instrumented only at
+        // stride 1, and a node that never returns.
+        for (const std::size_t node : {1, 4, 5, 20, 39}) {
+          driver.schedule_set_active(5, node, false);
+          driver.schedule_set_active(12, node, true);
+        }
+        driver.schedule_set_active(15, 22, false);
+      }
       driver.run_ticks(20);
       const EngineStats& s = driver.stats();
+      if (modes[m].churn) {
+        EXPECT_GT(s.dropped_inactive, 0u);
+      }
+      if (modes[m].timing.inbox_capacity > 0) {
+        EXPECT_GT(s.dropped_overflow, 0u);
+      }
       std::uint64_t acc = kChecksumSeed;
       for (const std::uint64_t v :
            {s.events_processed, s.messages_sent, s.messages_delivered,
@@ -483,6 +512,51 @@ TEST(SimDriverEvent, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
+TEST(SimDriverEvent, RejectsLatencyModelsThatTrapOrWrap) {
+  GossipNetwork net(Topology::complete(8), event_gossip(),
+                    recording_service());
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  // spread + 1 wraps to 0, so transit() would divide by zero.
+  LinkLatencyModel trap;
+  trap.kind = LinkLatencyModel::Kind::kUniform;
+  trap.spread = kMax;
+  EXPECT_THROW(SimDriver driver(net, TimingModel::event(trap)),
+               std::invalid_argument);
+  // base + spread wraps past 2^64: an id would arrive before it was sent.
+  LinkLatencyModel wrap;
+  wrap.kind = LinkLatencyModel::Kind::kUniform;
+  wrap.base = kMax - 5;
+  wrap.spread = 100;
+  EXPECT_THROW(SimDriver driver(net, TimingModel::event(wrap)),
+               std::invalid_argument);
+  // Rounds mode ignores the latency model.
+  TimingModel rounds = TimingModel::rounds();
+  rounds.latency = trap;
+  EXPECT_NO_THROW(SimDriver driver(net, rounds));
+}
+
+TEST(LinkLatency, ValidateBoundsEachTermAtTenToTheSixRounds) {
+  LinkLatencyModel ok;
+  ok.kind = LinkLatencyModel::Kind::kBimodal;
+  ok.base = ok.spread = ok.far_extra = LinkLatencyModel::kMaxTerm;
+  ok.far_fraction = 1.0;
+  EXPECT_NO_THROW(ok.validate());
+  EXPECT_EQ(LinkLatencyModel::kMaxTerm, 1'000'000 * kTicksPerRound);
+  for (SimTime LinkLatencyModel::*term :
+       {&LinkLatencyModel::base, &LinkLatencyModel::spread,
+        &LinkLatencyModel::far_extra}) {
+    LinkLatencyModel bad = ok;
+    bad.*term = LinkLatencyModel::kMaxTerm + 1;
+    EXPECT_THROW(bad.validate(), std::invalid_argument);
+  }
+  for (const double fraction :
+       {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    LinkLatencyModel bad = ok;
+    bad.far_fraction = fraction;
+    EXPECT_THROW(bad.validate(), std::invalid_argument);
+  }
+}
+
 // ------------------------------------------------- adversary tick hook
 
 struct TickRecordingAdversary final : RoundAdversary {
@@ -597,6 +671,23 @@ TEST(SimDriverChurn, RejectsPastTicksAndOutOfRangeNodes) {
                std::invalid_argument);
   EXPECT_THROW(driver.schedule_set_active(5, 99, false), std::out_of_range);
   EXPECT_NO_THROW(driver.schedule_set_active(3, 2, false));
+}
+
+TEST(SimDriverChurn, RejectsTicksWhoseStartTimeOverflows) {
+  GossipNetwork net(Topology::complete(8), event_gossip(),
+                    recording_service());
+  SimDriver driver(net, TimingModel::rounds());
+  const std::uint64_t last =
+      std::numeric_limits<SimTime>::max() / kTicksPerRound;
+  EXPECT_THROW(driver.schedule_set_active(last + 1, 2, false),
+               std::invalid_argument);
+  EXPECT_THROW(
+      driver.schedule_set_active(std::numeric_limits<std::uint64_t>::max(), 2,
+                                 false),
+      std::invalid_argument);
+  EXPECT_NO_THROW(driver.schedule_set_active(last, 2, false));
+  driver.run_ticks(2);
+  EXPECT_TRUE(net.is_active(2));
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 // the past as well as the future), link runs: bursts of ids on one link,
 // which the queue keeps in one record, and the seams of the sorted bucket
 // drain: pushes into the bucket whose sorted records are half popped,
-// overflow events admitted straight into the current bucket.
+// overflow events admitted straight into the current bucket.  Send runs
+// (EventQueue::push_sends) are fed to the oracle as that many separate
+// kNodeSend pushes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,6 +58,19 @@ class Lockstep {
       return testing::AssertionFailure()
              << "push #" << ops_ << ": seq " << got << " != " << want;
     return agree("push");
+  }
+
+  /// A send run on the queue; `count` per-node kNodeSend pushes on the
+  /// oracle.
+  testing::AssertionResult push_sends(SimTime time, std::uint32_t count) {
+    const std::uint64_t got = queue_.push_sends(time, count);
+    const std::uint64_t want = oracle_.next_seq();
+    for (std::uint32_t node = 0; node < count; ++node)
+      oracle_.push(time, EventKind::kNodeSend, node, 0, 0);
+    if (got != want)
+      return testing::AssertionFailure()
+             << "push_sends #" << ops_ << ": seq " << got << " != " << want;
+    return agree("push_sends");
   }
 
   testing::AssertionResult pop() {
@@ -472,6 +487,147 @@ TEST(EventQueueDifferential, LinkRunHalfPoppedAtTheCursor) {
   ASSERT_TRUE(q.drain());
 }
 
+TEST(EventQueueDifferential, SendRunsPopAsPerNodeSends) {
+  // SimDriver's tick schedule with a send run of 0-40 senders, mid-run
+  // pushes at the run's own instant while it sits half popped at the top
+  // of the small heap: zero-latency ids (they pop before the run's next
+  // sender), churn and tick-begin records, another send run; and ids with
+  // latency into the ring and past the horizon.  Churn waits at future
+  // tick boundaries, the instants of later send runs.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Xoshiro256 rng(seed);
+    Lockstep q;
+    for (int i = 0; i < 10; ++i)
+      ASSERT_TRUE(q.push(rng.next_below(40) * kTicksPerRound,
+                         EventKind::kChurn,
+                         static_cast<std::uint32_t>(rng.next_below(40)), 0,
+                         rng.next_below(2)));
+    for (std::uint64_t tick = 0; tick < 30; ++tick) {
+      const SimTime now = tick * kTicksPerRound;
+      const auto senders = static_cast<std::uint32_t>(
+          rng.next_below(4) == 0 ? rng.next_below(2) : rng.next_below(41));
+      ASSERT_TRUE(q.push(now, EventKind::kTickBegin, 0, 0, 0));
+      ASSERT_TRUE(q.push_sends(now, senders));
+      ASSERT_TRUE(q.push(now + kTicksPerRound, EventKind::kTickFlush, 0, 0, 0));
+      for (;;) {
+        ASSERT_TRUE(q.pop()) << "seed " << seed << " tick " << tick;
+        const Event event = q.last();
+        if (event.kind == EventKind::kTickFlush) break;
+        if (event.kind != EventKind::kNodeSend) continue;
+        const auto to = static_cast<std::uint32_t>(rng.next_below(40));
+        ASSERT_TRUE(q.push(event.time, EventKind::kMessage, event.from, to,
+                           rng()));
+        ASSERT_TRUE(q.push(event.time, EventKind::kMessage, event.from, to,
+                           rng()));
+        const SimTime latencies[] = {
+            rng.next_below(kTicksPerRound),
+            rng.next_below(3 * Peer::kHorizon)};
+        ASSERT_TRUE(q.push(event.time + latencies[rng.next_below(2)],
+                           EventKind::kMessage, event.from, to + 1, rng()));
+        switch (rng.next_below(8)) {
+          case 0:
+            ASSERT_TRUE(q.push(event.time, EventKind::kChurn, to, 0, 1));
+            break;
+          case 1:
+            ASSERT_TRUE(q.push(event.time, EventKind::kTickBegin, 0, 0, 0));
+            break;
+          case 2:
+            ASSERT_TRUE(q.push_sends(event.time,
+                                     static_cast<std::uint32_t>(
+                                         rng.next_below(4))));
+            break;
+          default:
+            break;
+        }
+      }
+    }
+    ASSERT_TRUE(q.drain()) << "seed " << seed;
+  }
+}
+
+TEST(EventQueueDifferential, SendRunsInTheRingAndPastTheHorizon) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Xoshiro256 rng(seed);
+    Lockstep q;
+    SimTime now = 0;
+    for (int round = 0; round < 60; ++round) {
+      // Send runs into the current bucket, the ring, the past and the
+      // overflow heap, next to single events at the same instants.
+      for (int i = 0; i < 4; ++i) {
+        const SimTime back = rng.next_below(std::min(now, Peer::kHorizon) + 1);
+        const SimTime offsets[] = {
+            now, now + rng.next_below(Peer::kHorizon), now - back,
+            now + Peer::kHorizon + rng.next_below(4 * Peer::kHorizon)};
+        const SimTime time = offsets[rng.next_below(4)];
+        ASSERT_TRUE(push_random(q, rng, time));
+        ASSERT_TRUE(
+            q.push_sends(time, static_cast<std::uint32_t>(rng.next_below(6))));
+        ASSERT_TRUE(push_random(q, rng, time));
+      }
+      const std::size_t pops = rng.next_below(q.size() + 1);
+      for (std::size_t i = 0; i < pops; ++i) {
+        ASSERT_TRUE(q.pop()) << "seed " << seed << " round " << round;
+      }
+      if (pops > 0) now = q.last().time;
+    }
+    ASSERT_TRUE(q.drain()) << "seed " << seed;
+  }
+}
+
+TEST(EventQueueDifferential, SendRunsOfLengthOneAndZero) {
+  Lockstep q;
+  const SimTime t = 2 * Peer::kBucketWidth + 5;
+  ASSERT_TRUE(q.push_sends(t, 0));  // nothing queued, no seq used
+  EXPECT_TRUE(q.empty());
+  ASSERT_TRUE(q.push(t, EventKind::kMessage, 1, 2, 10));
+  ASSERT_TRUE(q.push_sends(t, 0));  // between two ids of one link run
+  ASSERT_TRUE(q.push(t, EventKind::kMessage, 1, 2, 11));
+  ASSERT_TRUE(q.push_sends(t, 1));
+  ASSERT_TRUE(q.push(t, EventKind::kNodeSend, 7, 0, 0));
+  ASSERT_TRUE(q.push_sends(t, 1));
+  ASSERT_TRUE(q.pop());
+  // At the popped instant, into the small heap: a run of one, a run of
+  // none and a control event.
+  ASSERT_TRUE(q.push_sends(t, 1));
+  ASSERT_TRUE(q.push_sends(t, 0));
+  ASSERT_TRUE(q.push(t, EventKind::kTickBegin, 0, 0, 0));
+  ASSERT_TRUE(q.drain());
+}
+
+TEST(EventQueueDifferential, SendRunHalfPoppedAtTheHeapTop) {
+  Lockstep q;
+  const SimTime t = 3 * kTicksPerRound;
+  // The tick boundary pops first, so the run below lands in the bucket
+  // being drained: the small heap.
+  ASSERT_TRUE(q.push(t, EventKind::kTickFlush, 0, 0, 0));
+  ASSERT_TRUE(q.push(t, EventKind::kChurn, 4, 0, 0));
+  ASSERT_TRUE(q.pop());
+  ASSERT_TRUE(q.push(t, EventKind::kTickBegin, 0, 0, 0));
+  ASSERT_TRUE(q.push_sends(t, 5));
+  ASSERT_TRUE(q.push(t, EventKind::kChurn, 2, 0, 1));
+  ASSERT_TRUE(q.push(t + kTicksPerRound, EventKind::kTickFlush, 0, 0, 0));
+  ASSERT_TRUE(q.pop());  // churn of node 4
+  ASSERT_TRUE(q.pop());  // churn of node 2
+  ASSERT_TRUE(q.pop());  // tick begin
+  ASSERT_TRUE(q.pop());  // sender 0
+  EXPECT_EQ(q.last().from, 0u);
+  // Same-instant pushes with the run's rest at the heap top: ids with zero
+  // latency, a churn and a tick begin pop before sender 1; a per-node send
+  // pops after sender 4.
+  ASSERT_TRUE(q.push(t, EventKind::kMessage, 0, 3, 20));
+  ASSERT_TRUE(q.push(t, EventKind::kMessage, 0, 3, 21));
+  ASSERT_TRUE(q.push(t, EventKind::kNodeSend, 9, 0, 0));
+  ASSERT_TRUE(q.push(t, EventKind::kChurn, 3, 0, 0));
+  ASSERT_TRUE(q.push(t, EventKind::kTickBegin, 0, 0, 0));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(q.pop());
+  }
+  ASSERT_TRUE(q.pop());  // sender 1
+  EXPECT_EQ(q.last().from, 1u);
+  ASSERT_TRUE(q.push(t, EventKind::kMessage, 1, 4, 30));
+  ASSERT_TRUE(q.drain());
+}
+
 TEST(EventQueueLimit, PushThrowsLengthErrorAtTheSeqLimit) {
   EventQueue q;
   Peer::set_next_seq(q, Peer::kSeqLimit - 1);
@@ -488,6 +644,30 @@ TEST(EventQueueLimit, PushThrowsLengthErrorAtTheSeqLimit) {
   EXPECT_TRUE(q.empty());
   EXPECT_THROW(q.push(8, EventKind::kTickFlush, 0, 0, 0), std::length_error);
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueLimit, SendRunThatWouldCrossTheSeqLimitThrows) {
+  EventQueue q;
+  Peer::set_next_seq(q, Peer::kSeqLimit - 3);
+  // Four senders would need seq 2^61: nothing is queued, no seq is used.
+  EXPECT_THROW(q.push_sends(7, 4), std::length_error);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.peak_size(), 0u);
+  // Three fit exactly, and pop with the last three seqs.
+  EXPECT_EQ(q.push_sends(7, 3), Peer::kSeqLimit - 3);
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.push_sends(7, 0), Peer::kSeqLimit);  // a run of none fits
+  EXPECT_THROW(q.push_sends(7, 1), std::length_error);
+  EXPECT_EQ(q.size(), 3u);
+  for (std::uint32_t node = 0; node < 3; ++node) {
+    const Event event = q.pop();
+    EXPECT_EQ(event.seq, Peer::kSeqLimit - 3 + node);
+    EXPECT_EQ(event.kind, EventKind::kNodeSend);
+    EXPECT_EQ(event.from, node);
+    EXPECT_EQ(event.payload, 0u);
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.peak_size(), 3u);
 }
 
 }  // namespace

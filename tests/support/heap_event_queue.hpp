@@ -35,6 +35,8 @@ class HeapEventQueue {
     return event;
   }
 
+  /// The seq the next push will be assigned.
+  std::uint64_t next_seq() const { return next_seq_; }
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
   std::size_t in_flight_messages() const { return in_flight_; }
