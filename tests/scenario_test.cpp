@@ -5,15 +5,22 @@
 // identity churn.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "scenario/engine.hpp"
 #include "scenario/spec.hpp"
 #include "sim/driver.hpp"
 #include "sim/gossip.hpp"
 #include "sim/topology.hpp"
+#include "stream/histogram.hpp"
+#include "stream/trace_io.hpp"
 
 namespace unisamp::scenario {
 namespace {
@@ -502,6 +509,194 @@ TEST(ScenarioEngineTest, ChurnPhaseRunsBeforeTheSchedule) {
   EXPECT_EQ(report.points.back().round, 30u);
   // Churn rounds also delivered ids.
   EXPECT_GT(engine.network().rounds_run(), 30u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Every MeasurePoint field pinned bit for bit.  The doubles are compared as
+// IEEE-754 bit patterns, so any change to how measure() classifies ids or
+// sums counts shows here, not only a change in the network's evolution.
+
+struct PinnedPoint {
+  std::size_t round, phase;
+  std::uint64_t output, victim, memory, distinct;  // double bit patterns
+  std::size_t detections, rekeys;
+  std::uint64_t honest_trace_ids;
+  friend bool operator==(const PinnedPoint&, const PinnedPoint&) = default;
+};
+
+std::vector<PinnedPoint> pinned_points(const ScenarioRunReport& report) {
+  std::vector<PinnedPoint> rows;
+  for (const MeasurePoint& p : report.points)
+    rows.push_back({p.round, p.phase,
+                    std::bit_cast<std::uint64_t>(p.output_pollution),
+                    std::bit_cast<std::uint64_t>(p.victim_output_pollution),
+                    std::bit_cast<std::uint64_t>(p.memory_pollution),
+                    std::bit_cast<std::uint64_t>(p.distinct_malicious),
+                    p.detections, p.rekeys, p.honest_trace_ids});
+  return rows;
+}
+
+// On a mismatch, prints the actual rows in the initializer form below.
+void expect_pinned(const ScenarioRunReport& report,
+                   const std::vector<PinnedPoint>& want) {
+  const std::vector<PinnedPoint> got = pinned_points(report);
+  if (got == want) return;
+  std::ostringstream table;
+  table << std::hex;
+  for (const PinnedPoint& p : got)
+    table << "{" << std::dec << p.round << ", " << p.phase << ", " << std::hex
+          << "0x" << p.output << ", 0x" << p.victim << ", 0x" << p.memory
+          << ", 0x" << p.distinct << ", " << std::dec << p.detections << ", "
+          << p.rekeys << ", " << p.honest_trace_ids << "},\n";
+  ADD_FAILURE() << "MeasurePoint rows differ; actual rows:\n" << table.str();
+}
+
+ScenarioSpec every_attack_kind_spec() {
+  ScenarioSpec spec = base_spec();
+  spec.schedule = {{AttackKind::kQuiescent, 4, 0.0, 0},
+                   {AttackKind::kStaticFlood, 4, 0.0, 0},
+                   {AttackKind::kEstimateProbing, 4, 0.7, 0},
+                   {AttackKind::kEclipseFlood, 4, 0.8, 0},
+                   {AttackKind::kSybilChurn, 8, 0.0, /*rotate_every=*/3},
+                   {AttackKind::kColluding, 8, 0.6, /*rotate_every=*/3}};
+  spec.measure_every = 3;
+  spec.defense = DefenseSpec{};
+  spec.defense->rekey = DefenseSpec::RekeyPolicy::kOnDetection;
+  spec.defense->detector.window = 60;
+  spec.defense->detector.peak_factor = 2.0;
+  return spec;
+}
+
+TEST(ScenarioMeasurePinTest, EveryAttackKindInRounds) {
+  ScenarioEngine engine(every_attack_kind_spec());
+  expect_pinned(engine.run(), {
+      {3, 0, 0x0, 0x0, 0x0, 0x4020000000000000, 1, 1, 0},
+      {4, 0, 0x0, 0x0, 0x0, 0x4020000000000000, 1, 1, 0},
+      {6, 1, 0x3fb5a1ffdbebfce6, 0x3fc32bfb7d2e3ce6, 0x3fc0000000000000, 0x4020000000000000, 2, 2, 0},
+      {8, 1, 0x3fb8ed3bbcf4aec6, 0x3fcd09ef3024ae3c, 0x3fc4000000000000, 0x4020000000000000, 4, 4, 0},
+      {9, 2, 0x3fbb9833a701afa5, 0x3fd049b4fa13be31, 0x3fc4000000000000, 0x4020000000000000, 5, 5, 0},
+      {12, 2, 0x3fbe75205fb2e22e, 0x3fd0b9d80b269007, 0x3fc4000000000000, 0x4020000000000000, 8, 8, 0},
+      {15, 3, 0x3fc0d923d0999636, 0x3fd1be52a04f185d, 0x3fc6000000000000, 0x4020000000000000, 11, 11, 0},
+      {16, 3, 0x3fc1510e5d36a83e, 0x3fd21058ee0493c8, 0x3fc6000000000000, 0x4020000000000000, 12, 12, 0},
+      {18, 4, 0x3fc1f70ed0539a83, 0x3fd1d04e268024c7, 0x3fc5000000000000, 0x4028000000000000, 13, 13, 0},
+      {21, 4, 0x3fc279c350e82935, 0x3fd097b425ed097b, 0x3fc9000000000000, 0x4030000000000000, 16, 16, 0},
+      {24, 4, 0x3fc339b0704c0f03, 0x3fcf64ecd38ad9dd, 0x3fca000000000000, 0x4034000000000000, 19, 19, 0},
+      {27, 5, 0x3fc4479608428acd, 0x3fcf77c3491dcd48, 0x3fcf000000000000, 0x4038000000000000, 22, 22, 0},
+      {30, 5, 0x3fc60b5390e19eee, 0x3fce73de542d8e1d, 0x3fd0000000000000, 0x403c000000000000, 24, 24, 0},
+      {32, 5, 0x3fc6aaa761fce6f0, 0x3fcd7ab069e8e8c1, 0x3fcb000000000000, 0x4040000000000000, 26, 26, 0},
+  });
+}
+
+TEST(ScenarioMeasurePinTest, EveryAttackKindWithChurnAndEventTiming) {
+  ScenarioSpec spec = every_attack_kind_spec();
+  spec.churn = ChurnConfig{};
+  spec.churn->pre_t0_rounds = 6;
+  spec.churn->leave_probability = 0.1;
+  spec.timing = TimingSpec{};
+  spec.timing->kind = TimingSpec::Kind::kEvent;
+  spec.timing->latency = TimingSpec::LatencyKind::kBimodal;
+  spec.timing->latency_base = 0.25;
+  spec.timing->latency_spread = 0.5;
+  spec.timing->far_fraction = 0.2;
+  spec.timing->far_extra = 1.5;
+  spec.timing->inbox_capacity = 24;
+  spec.timing->bandwidth_per_round = 12;
+  ScenarioEngine engine(spec);
+  expect_pinned(engine.run(), {
+      {3, 0, 0x3fd83e63affa9328, 0x3fe2c234f72c234f, 0x3fd4800000000000, 0x4020000000000000, 1, 1, 0},
+      {4, 0, 0x3fd7c3d5e284f6ad, 0x3fe0ea0ea0ea0ea1, 0x3fd4800000000000, 0x4020000000000000, 1, 1, 0},
+      {6, 1, 0x3fd79013a2bb079c, 0x3fddf51b3bea3678, 0x3fd5000000000000, 0x4020000000000000, 1, 1, 0},
+      {8, 1, 0x3fd7a17a17a17a18, 0x3fd97dd49c34115b, 0x3fd6000000000000, 0x4020000000000000, 1, 1, 0},
+      {9, 2, 0x3fd770e6cdccd6a6, 0x3fd89d89d89d89d9, 0x3fd5800000000000, 0x4020000000000000, 1, 1, 0},
+      {12, 2, 0x3fd720194cb076e8, 0x3fd7e75346f0940c, 0x3fd5000000000000, 0x4020000000000000, 1, 1, 0},
+      {15, 3, 0x3fd69a60ec4431f0, 0x3fd86562d9faee42, 0x3fd5800000000000, 0x4020000000000000, 2, 2, 0},
+      {16, 3, 0x3fd6829ebce690ef, 0x3fd8396ba9de8132, 0x3fd5800000000000, 0x4020000000000000, 2, 2, 0},
+      {18, 4, 0x3fd6861f7d6037fb, 0x3fd8787878787878, 0x3fd5800000000000, 0x4028000000000000, 3, 3, 0},
+      {21, 4, 0x3fd64bad1b5260b5, 0x3fd9ed5059b184ac, 0x3fd7800000000000, 0x4030000000000000, 3, 3, 0},
+      {24, 4, 0x3fd709e29f16731d, 0x3fdc48abc48abc49, 0x3fdc800000000000, 0x4034000000000000, 4, 4, 0},
+      {27, 5, 0x3fd78176eb7f1f0c, 0x3fdd39b602f5a441, 0x3fdc800000000000, 0x4038000000000000, 4, 4, 0},
+      {30, 5, 0x3fd82b71bc3ba8ce, 0x3fde28359cd116c9, 0x3fe2000000000000, 0x403c000000000000, 4, 4, 0},
+      {32, 5, 0x3fd8d210ed43c794, 0x3fde6c74050b5989, 0x3fe3c00000000000, 0x4040000000000000, 4, 4, 0},
+  });
+}
+
+TEST(ScenarioMeasurePinTest, NoForgedPoolWithChurnAndEventTiming) {
+  ScenarioSpec spec = base_spec();
+  spec.gossip.forged_id_count = 0;  // byzantine members push their own ids
+  spec.schedule = {{AttackKind::kQuiescent, 3, 0.0, 0},
+                   {AttackKind::kSybilChurn, 10, 0.0, /*rotate_every=*/4},
+                   {AttackKind::kSybilChurn, 5, 0.0, /*rotate_every=*/2}};
+  spec.measure_every = 3;
+  spec.churn = ChurnConfig{};
+  spec.churn->pre_t0_rounds = 6;
+  spec.churn->leave_probability = 0.1;
+  spec.timing = TimingSpec{};
+  spec.timing->kind = TimingSpec::Kind::kEvent;
+  spec.timing->latency = TimingSpec::LatencyKind::kUniform;
+  spec.timing->latency_base = 0.5;
+  spec.timing->latency_spread = 1.0;
+  ScenarioEngine engine(spec);
+  expect_pinned(engine.run(), {
+      {3, 0, 0x3fc95db730fa4c51, 0x0, 0x3fc6000000000000, 0x4010000000000000, 0, 0, 0},
+      {6, 1, 0x3fc842330b0ff0ab, 0x0, 0x3fc3000000000000, 0x4014000000000000, 0, 0, 0},
+      {9, 1, 0x3fc707eb34a698b1, 0x3f9be1958b67ebb9, 0x3fc3000000000000, 0x4018000000000000, 0, 0, 0},
+      {12, 1, 0x3fc71e8064b71a0f, 0x3fa784f9aaf7dbd1, 0x3fc9000000000000, 0x401c000000000000, 0, 0, 0},
+      {13, 1, 0x3fc7554e01a1a303, 0x3face739ce739ce7, 0x3fcd000000000000, 0x401c000000000000, 0, 0, 0},
+      {15, 2, 0x3fc812e629ec46a6, 0x3fb02d02d02d02d0, 0x3fcd000000000000, 0x4020000000000000, 0, 0, 0},
+      {18, 2, 0x3fc99529a1c4d061, 0x3fb0f88577154910, 0x3fce000000000000, 0x4024000000000000, 0, 0, 0},
+  });
+}
+
+// A trace workload whose ids (offset by 2^64 - 1, so they wrap) land on
+// every side of the engine's malicious ranges: byzantine labels, a correct
+// label, the static forged pool, minted Sybil ids, Sybil ids reserved but
+// not yet minted at the early measure points, the first id past the
+// reservation, and 2^64 - 1.
+TEST(ScenarioMeasurePinTest, TraceIdsAcrossTheMaliciousRanges) {
+  ScenarioSpec spec = base_spec();
+  spec.schedule = {{AttackKind::kStaticFlood, 4, 0.0, 0},
+                   {AttackKind::kSybilChurn, 12, 0.0, /*rotate_every=*/5}};
+  spec.measure_every = 2;
+  const NodeId forged = 20 + (NodeId{1} << 32);  // nodes + 2^32
+  const NodeId sybil = forged + 4;  // the churn phase mints 12 ids from here
+  const std::vector<NodeId> targets = {
+      0,          3,          4,           19,         forged,
+      forged + 3, sybil,      sybil + 5,   sybil + 11, sybil + 12,
+      ~NodeId{0}, ~NodeId{0}, sybil + 9,   1,          forged + 1};
+  Stream trace;
+  for (int r = 0; r < 16; ++r)
+    for (const NodeId t : targets) trace.push_back(t + 1);  // wraps with the offset
+  const std::string path = ::testing::TempDir() + "scenario_pin_ranges.trace";
+  save_stream_text(trace, path);
+  spec.workload = TraceReplayConfig{};
+  spec.workload->kind = TraceReplayConfig::Kind::kTraceFile;
+  spec.workload->path = path;
+  spec.workload->ids_per_round = targets.size();
+  spec.workload->id_offset = ~NodeId{0};
+  ScenarioEngine engine(spec);
+  const ScenarioRunReport report = engine.run();
+  std::remove(path.c_str());
+  // The wrapped ids really reach the outputs measure() reads.
+  std::uint64_t seen_top = 0, seen_reserved = 0;
+  for (std::size_t i = 4; i < 20; ++i) {
+    const FrequencyHistogram& h =
+        engine.network().service(i).output_histogram();
+    seen_top += h.count(~NodeId{0});
+    seen_reserved += h.count(sybil + 9);
+  }
+  EXPECT_GT(seen_top, 0u);
+  EXPECT_GT(seen_reserved, 0u);
+  expect_pinned(report, {
+      {2, 0, 0x3fe21338cab3fc81, 0x3fded097b425ed09, 0x3fd5800000000000, 0x4020000000000000, 0, 0, 30},
+      {4, 0, 0x3fdd57a9cafe8b36, 0x3fd5555555555555, 0x3fd5800000000000, 0x4020000000000000, 0, 0, 60},
+      {6, 1, 0x3fdd5de05a171ae4, 0x3fd587e6b74f0329, 0x3fd7000000000000, 0x4028000000000000, 0, 0, 90},
+      {8, 1, 0x3fdc60b112ee3bff, 0x3fd284bda12f684c, 0x3fd6000000000000, 0x4028000000000000, 0, 0, 120},
+      {10, 1, 0x3fdc7bb80165e032, 0x3fd240795ceb2408, 0x3fd8800000000000, 0x4030000000000000, 0, 0, 150},
+      {12, 1, 0x3fdc2738674b0af8, 0x3fd2c3f35ba78195, 0x3fd3800000000000, 0x4030000000000000, 0, 0, 180},
+      {14, 1, 0x3fdb68638558a96b, 0x3fd362e0d8b8362e, 0x3fd0800000000000, 0x4030000000000000, 0, 0, 210},
+      {16, 1, 0x3fdbd60fba1a362c, 0x3fd3b425ed097b42, 0x3fd3000000000000, 0x4034000000000000, 0, 0, 240},
+  });
 }
 
 }  // namespace
