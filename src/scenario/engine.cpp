@@ -1,6 +1,7 @@
 #include "scenario/engine.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "adversary/adaptive.hpp"
 #include "sim/churn.hpp"
@@ -56,26 +57,28 @@ ScenarioEngine::ScenarioEngine(ScenarioSpec spec)
                                     spec_.defense->detector)
                               : std::nullopt),
       net_(build_world(spec_), spec_.gossip, spec_.sampler),
-      malicious_set_(2 * (spec_.gossip.byzantine_count +
-                          spec_.gossip.forged_id_count) +
-                     16),
-      next_sybil_base_(static_cast<NodeId>(spec_.topology.nodes) +
-                       (1ULL << 32) +
+      malicious_floor_(static_cast<NodeId>(spec_.topology.nodes) +
+                       (1ULL << 32)),
+      malicious_flags_(spec_.gossip.forged_id_count + 1, 0),
+      distinct_malicious_(spec_.gossip.byzantine_count),
+      next_sybil_base_(malicious_floor_ +
                        static_cast<NodeId>(spec_.gossip.forged_id_count)) {
   // The baseline malicious population: the byzantine members' own ids
-  // (what they push when no forged pool exists) plus the static pool.
-  std::vector<NodeId> base;
-  for (std::size_t i = 0; i < spec_.gossip.byzantine_count; ++i)
-    base.push_back(static_cast<NodeId>(i));
-  for (const NodeId id : net_.forged_ids()) base.push_back(id);
-  note_malicious(base);
+  // (what they push when no forged pool exists, counted above) plus the
+  // static pool.
+  note_malicious(net_.forged_ids());
 }
 
 void ScenarioEngine::note_malicious(std::span<const NodeId> ids) {
   for (const NodeId id : ids) {
-    if (malicious_set_.contains(id)) continue;
-    malicious_set_.insert(id);
-    malicious_ids_.push_back(id);
+    if (id < spec_.gossip.byzantine_count) continue;  // counted from the start
+    const NodeId i = id - malicious_floor_;
+    if (id < malicious_floor_ || i >= malicious_flags_.size() - 1)
+      throw std::logic_error(
+          "scenario: malicious id " + std::to_string(id) +
+          " outside the byzantine labels and the forged/minted ranges");
+    distinct_malicious_ += malicious_flags_[i] == 0;
+    malicious_flags_[i] = 1;
   }
 }
 
@@ -108,6 +111,7 @@ SybilChurnConfig ScenarioEngine::reserve_sybil_mint(const AttackPhase& phase) {
           ? (phase.rounds - 1) / phase.rotate_every
           : 0;
   next_sybil_base_ += static_cast<NodeId>(cfg.pool_size * (1 + rotations));
+  malicious_flags_.resize(next_sybil_base_ - malicious_floor_ + 1, 0);
   return cfg;
 }
 
@@ -154,9 +158,8 @@ MeasurePoint ScenarioEngine::measure(std::size_t round,
     if (!net_.has_service(i)) continue;  // off the observer stride
     const SamplingService& service = net_.service(i);
     const FrequencyHistogram& hist = service.output_histogram();
-    double node_bad = 0.0;
-    for (const NodeId id : malicious_ids_)
-      node_bad += static_cast<double>(hist.count(id));
+    const double node_bad = static_cast<double>(
+        hist.count_if([this](NodeId id) { return is_malicious(id); }));
     bad += node_bad;
     total += static_cast<double>(hist.total());
     if (i == spec_.victim) {
@@ -165,14 +168,14 @@ MeasurePoint ScenarioEngine::measure(std::size_t round,
     }
     for (const NodeId id : service.sampler().memory()) {
       mem_total += 1.0;
-      if (malicious_set_.contains(id)) mem_bad += 1.0;
+      mem_bad += static_cast<double>(is_malicious(id));
     }
   }
   point.output_pollution = total > 0.0 ? bad / total : 0.0;
   point.victim_output_pollution =
       victim_total > 0.0 ? victim_bad / victim_total : 0.0;
   point.memory_pollution = mem_total > 0.0 ? mem_bad / mem_total : 0.0;
-  point.distinct_malicious = static_cast<double>(malicious_ids_.size());
+  point.distinct_malicious = static_cast<double>(distinct_malicious_);
   return point;
 }
 

@@ -40,6 +40,7 @@
 //    engines parallelizes fine — each owns its world.)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -48,7 +49,6 @@
 #include "adversary/adaptive.hpp"
 #include "scenario/spec.hpp"
 #include "sim/gossip.hpp"
-#include "util/flat_set.hpp"
 
 namespace unisamp::scenario {
 
@@ -110,16 +110,31 @@ class ScenarioEngine {
   /// The churn leg of a kSybilChurn or kColluding phase, minted from
   /// next_sybil_base_, which moves past the phase's whole mint range.
   SybilChurnConfig reserve_sybil_mint(const AttackPhase& phase);
+  /// Flags ids as malicious, counting each once.  Throws std::logic_error
+  /// for an id outside both malicious ranges (see malicious_flags_).
   void note_malicious(std::span<const NodeId> ids);
+  /// Branch-free membership test: a byzantine label, or a flagged id.  An
+  /// id outside the flagged range saturates onto the zero sentinel.
+  bool is_malicious(NodeId id) const {
+    const NodeId i = std::min<NodeId>(id - malicious_floor_,
+                                      malicious_flags_.size() - 1);
+    return (id < spec_.gossip.byzantine_count) | (malicious_flags_[i] != 0);
+  }
   MeasurePoint measure(std::size_t round, std::size_t phase) const;
 
   ScenarioSpec spec_;
   std::optional<AttackDetector> detector_;  ///< present iff spec_.defense
   GossipNetwork net_;
-  // Every malicious identifier seen so far: the byzantine members' own ids,
-  // the static forged pool, and whatever the phase adversaries mint.
-  std::vector<NodeId> malicious_ids_;
-  FlatIdSet malicious_set_;
+  // The malicious ids seen so far lie in two ranges.  The byzantine
+  // members' own labels [0, byzantine_count) are malicious from the start.
+  // Every other one lies in [malicious_floor_, next_sybil_base_): the static
+  // forged pool (nodes + 2^32 upward), then each range reserve_sybil_mint
+  // hands out.  malicious_flags_ holds one byte per id of that range, set
+  // once note_malicious has seen the id, plus one zero sentinel at the end:
+  // at most one byte per id a churn leg mints, whose adversary holds eight.
+  NodeId malicious_floor_;
+  std::vector<std::uint8_t> malicious_flags_;
+  std::size_t distinct_malicious_;
   // Next fresh identity for a kSybilChurn phase: advanced past each churn
   // phase's whole mint range so a later churn phase pays for genuinely new
   // ids instead of re-minting warm ones.

@@ -17,8 +17,8 @@
 // Contracts:
 //  - Complexity: add / count are O(1) expected, O(table) worst case;
 //    add_stream is O(len) expected; max_frequency, most_frequent_id,
-//    sorted_frequencies, distribution, raw() iteration and operator== walk
-//    the whole table, O(capacity).
+//    sorted_frequencies, distribution, count_if, raw() iteration and
+//    operator== walk the whole table, O(capacity).
 //  - Memory: 16 B per slot.  The table allocates nothing until the first
 //    add, starts at 16 slots and doubles whenever an insert would pass 3/4
 //    load, so capacity stays under max(16, 8/3 * distinct()) slots.
@@ -106,6 +106,18 @@ class FrequencyHistogram {
   void add_stream(std::span<const NodeId> stream);
 
   std::uint64_t count(NodeId id) const;
+  /// Sum of the counts of the ids for which pred(id) holds.  Walks every
+  /// slot and adds count * pred(id): an empty slot's count is 0, so there is
+  /// no occupancy test, and a branch-free pred leaves the walk without a
+  /// data-dependent branch (the "no-branch" plan of Ross, ACM TODS 2004;
+  /// a `pred ? count : 0` ternary compiles to a branch).
+  template <class Pred>
+  std::uint64_t count_if(Pred pred) const {
+    std::uint64_t sum = 0;
+    for (const Entry& e : slots_)
+      sum += e.second * static_cast<std::uint64_t>(pred(e.first));
+    return sum;
+  }
   std::uint64_t total() const { return total_; }
   std::size_t distinct() const { return distinct_; }
   std::uint64_t max_frequency() const;

@@ -4,12 +4,12 @@
 Usage: cli_usage_errors_test.py PATH/TO/unisamp_cli
 
 Runs the CLI on malformed numbers (signs, padding, junk, nan), gen-trace
-scale 0, gen-attack without 1 <= n <= m, run's sampler sizes out of range
-(--c outside [1, 2^20], --s outside [1, 64], --k * --s above 2^24
-counters), kl's n above 2^24, effort's k outside [1, 4096], s outside
-[1, 64] and eta outside (0, 1), detect's --window=0 and an unknown
---strategy, and
-asserts exit status exactly 2 with the usage text on stderr: not 1 (a
+scale 0, gen-attack without 1 <= n <= m <= 2^24 (up to m = 2^64 - 1, which
+once reached vector::reserve), run's sampler sizes out of range (--c
+outside [1, 2^20], --s outside [1, 64], --k * --s above 2^24 counters), kl's
+n above 2^24, effort's k outside [1, 4096], s outside [1, 64] and eta
+outside (0, 1), detect's --window=0 and an unknown --strategy, and asserts
+exit status exactly 2 with the usage text on stderr: not 1 (a
 runtime failure), not a signal (a crash), not 0 (a silently misread
 value).
 
@@ -44,6 +44,12 @@ def main(argv):
             ["gen-attack", "peak", "-1", "100", out],
             ["gen-attack", "peak", "100", "10", out],
             ["gen-attack", "peak", "10", "100", out, "7x"],
+            # m past the 2^24 cap: rejected before anything is allocated.
+            ["gen-attack", "peak", "100", "16777217", out],
+            ["gen-attack", "band", "100", "16777217", out],
+            ["gen-attack", "peak", "100", "18446744073709551615", out],
+            ["gen-attack", "band", "18446744073709551615",
+             "18446744073709551615", out],
             ["gen-trace", "nasa", "abc", out],
             ["gen-trace", "nasa", "0", out],
             ["kl", trace, "-5"],

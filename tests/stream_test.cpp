@@ -345,6 +345,46 @@ TEST(Histogram, MatchesMapOracleAcrossGrowth) {
   EXPECT_GT(oracle.size(), 3072u);
 }
 
+// count_if against a sum over raw(), for the predicates "all", "none" and
+// "odd id".
+void expect_count_if_matches_raw(const FrequencyHistogram& h) {
+  std::uint64_t all = 0, odd = 0;
+  for (const auto& [id, c] : h.raw()) {
+    all += c;
+    if (id % 2 == 1) odd += c;
+  }
+  EXPECT_EQ(h.count_if([](NodeId) { return true; }), all);
+  EXPECT_EQ(h.count_if([](NodeId) { return false; }), 0u);
+  EXPECT_EQ(h.count_if([](NodeId id) { return id % 2 == 1; }), odd);
+  EXPECT_EQ(all, h.total());
+}
+
+TEST(Histogram, CountIfMatchesRawSum) {
+  FrequencyHistogram h;  // unallocated: no slots at all
+  expect_count_if_matches_raw(h);
+  EXPECT_EQ(h.count_if([](NodeId) { return true; }), 0u);
+
+  // A real id 0 with a nonzero count: empty slots also hold id 0, and only
+  // their zero count keeps them out of the sum.
+  h.add(0, 7);
+  expect_count_if_matches_raw(h);
+  EXPECT_EQ(h.count_if([](NodeId id) { return id == 0; }), 7u);
+
+  // Grow from 16 to 2048 slots, checking after every doubling.
+  std::size_t seen_distinct = h.distinct();
+  for (NodeId id = 1; id < 1500; ++id) {
+    h.add(id * 3, id % 5 + 1);
+    h.add(std::numeric_limits<NodeId>::max() - id);
+    if (h.distinct() >= 2 * seen_distinct) {
+      seen_distinct = h.distinct();
+      expect_count_if_matches_raw(h);
+    }
+  }
+  expect_count_if_matches_raw(h);
+  EXPECT_EQ(h.count_if([](NodeId id) { return id == 0; }), 7u);
+  EXPECT_GT(h.distinct(), 2000u);
+}
+
 // Tied maxima resolve to the smallest id, whatever the slot order.
 TEST(Histogram, MostFrequentIdBreaksTiesBySmallestId) {
   const std::vector<NodeId> colliding = colliding_ids(6);

@@ -12,10 +12,10 @@
 // Exit status: 0 = success, 1 = runtime failure (e.g. an unreadable or
 // malformed trace, or an omniscient run on an id above 2^24 - 1), 2 = usage
 // error (unknown command or option value, malformed number, gen-trace
-// scale 0, gen-attack without 1 <= n <= m, run's --c outside [1, 2^20], --s
-// outside [1, 64] or --k * --s above 2^24 counters, kl's n above 2^24,
-// effort's k outside [1, 4096], s outside [1, 64] or eta outside (0, 1),
-// detect's --window=0).
+// scale 0, gen-attack without 1 <= n <= m <= 2^24, run's --c outside
+// [1, 2^20], --s outside [1, 64] or --k * --s above 2^24 counters, kl's n
+// above 2^24, effort's k outside [1, 4096], s outside [1, 64] or eta outside
+// (0, 1), detect's --window=0).
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -69,6 +69,11 @@ constexpr std::uint64_t kMaxSketchCounters = std::uint64_t{1} << 24;
 /// Largest domain `kl` accepts: its uniform reference is a dense vector of
 /// n doubles, the same 128 MiB ceiling as kMaxOmniscientId.
 constexpr std::uint64_t kMaxKlDomain = kMaxOmniscientId + 1;
+
+/// Longest stream `gen-attack` writes: m ids held in memory at 8 B each, the
+/// same 128 MiB ceiling as kMaxOmniscientId.  Checked before anything is
+/// allocated, so argv never sizes an allocation.
+constexpr std::uint64_t kMaxAttackLength = std::uint64_t{1} << 24;
 
 /// Largest sketch width `effort` accepts: the flooding solve is quadratic
 /// in k, so doubling k quadruples its run time.
@@ -136,7 +141,8 @@ int cmd_gen_attack(int argc, char** argv) {
   const std::uint64_t m = arg_u64(argv[2]);
   const std::string out = argv[3];
   const std::uint64_t seed = argc > 4 ? arg_u64(argv[4]) : 1;
-  if (n == 0 || m < n) throw UsageError("gen-attack needs 1 <= n <= m");
+  if (n == 0 || m < n || m > kMaxAttackLength)
+    throw UsageError("gen-attack needs 1 <= n <= m <= 2^24");
   Stream stream;
   if (kind == "peak") {
     const std::uint64_t base = m / (2 * n) ? m / (2 * n) : 1;
